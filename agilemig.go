@@ -18,7 +18,7 @@
 //	vm := tb.DeployVM("demo", 2<<30, 768<<20, true)
 //	vm.LoadDataset(1536 << 20)
 //	tb.RunSeconds(120)
-//	if _, err := tb.Migrate(vm, agilemig.Agile, 768<<20); err != nil {
+//	if _, err := tb.Migrate(vm, agilemig.Agile, tb.Dest, 768<<20, agilemig.MigrationTuning{}); err != nil {
 //		log.Fatal(err)
 //	}
 //	if tb.RunUntilMigrated(vm, 2000) == agilemig.OutcomeCompleted {

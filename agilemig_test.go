@@ -16,7 +16,7 @@ func TestQuickstartPath(t *testing.T) {
 	vm.LoadDataset(768 * MiB)
 	tb.RunSeconds(60)
 
-	if _, err := tb.Migrate(vm, Agile, 384*MiB); err != nil {
+	if _, err := tb.Migrate(vm, Agile, tb.Dest, 384*MiB, MigrationTuning{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.RunUntilMigrated(vm, 1200) != OutcomeCompleted {
@@ -66,7 +66,7 @@ func TestTechniqueComparison(t *testing.T) {
 		vm := tb.DeployVM("demo", 2*GiB, 768*MiB, tech == Agile)
 		vm.LoadDataset(1536 * MiB)
 		tb.RunSeconds(120)
-		if _, err := tb.Migrate(vm, tech, 768*MiB); err != nil {
+		if _, err := tb.Migrate(vm, tech, tb.Dest, 768*MiB, MigrationTuning{}); err != nil {
 			t.Fatal(err)
 		}
 		if tb.RunUntilMigrated(vm, 4000) != OutcomeCompleted {
@@ -101,7 +101,7 @@ func TestDeterminism(t *testing.T) {
 		// Clients draw from the engine's seeded RNG, so the whole run is
 		// reproducible.
 		tb.RunSeconds(60)
-		if _, err := tb.Migrate(vm, Agile, 384*MiB); err != nil {
+		if _, err := tb.Migrate(vm, Agile, tb.Dest, 384*MiB, MigrationTuning{}); err != nil {
 			t.Fatal(err)
 		}
 		tb.RunUntilMigrated(vm, 1200)

@@ -43,7 +43,7 @@ func main() {
 
 		// Let reclaim settle, then migrate.
 		tb.RunSeconds(120)
-		if _, err := tb.Migrate(vm, tech, 768*cluster.MiB); err != nil {
+		if _, err := tb.Migrate(vm, tech, tb.Dest, 768*cluster.MiB, core.Tuning{}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

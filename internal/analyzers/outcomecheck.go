@@ -14,9 +14,10 @@ import (
 // was stopping from coming back:
 //
 //   - discarded error returns from the migration control APIs —
-//     cluster.Migrate*/MigrateTo*, ctlplane Launch, Submit* — whose error
-//     IS the admission verdict (capacity rejected, VM already migrating);
-//     dropping it turns a refused migration into silent no-op "success";
+//     cluster.Testbed.Migrate (and any Migrate-prefixed method), ctlplane
+//     Launch, Submit* — whose error IS the admission verdict (capacity
+//     rejected, VM already migrating); dropping it turns a refused
+//     migration into silent no-op "success";
 //   - RunUntilMigrated's Outcome treated as a bool: the result ignored
 //     outright, compared against a bare integer literal, collapsed into a
 //     stored boolean (done := outcome == Completed) that later code

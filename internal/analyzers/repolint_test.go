@@ -64,7 +64,7 @@ import (
 
 // Planted by TestRepoLintCatchesPlants; removed on test exit.
 func zzPlantDiscardedMigrate(tb *cluster.Testbed, h *cluster.VMHandle) {
-	tb.Migrate(h, core.Agile, 0)
+	tb.Migrate(h, core.Agile, tb.Dest, 0, core.Tuning{})
 }
 `,
 			wantMsg: []string{"outcomecheck", "Migrate's error is the admission verdict"},

@@ -129,7 +129,7 @@ func (a *Autopilot) kick() {
 		destResv = h.VM.Group().ReservationBytes()
 	}
 	a.migrating = h
-	if _, err := a.tb.Migrate(h, tech, destResv); err != nil {
+	if _, err := a.tb.Migrate(h, tech, a.tb.Dest, destResv, core.Tuning{}); err != nil {
 		// The VM is already mid-migration (it should not be — the autopilot
 		// serializes its own moves); skip rather than corrupt state.
 		a.migrating = nil

@@ -134,6 +134,9 @@ type Testbed struct {
 	// group is non-nil when Cfg.Shards > 1: Eng is then its shard-0 engine
 	// and runs are driven through the group's window scheduler.
 	group *sim.ShardGroup
+	// cell is the Fleet cell name prefixing every component name ("" for
+	// the paper testbed; see newTestbed).
+	cell string
 
 	// extra holds hosts added beyond the paper's source/dest pair (drain
 	// scenarios with several candidate destinations), in creation order.
@@ -160,19 +163,38 @@ func New(cfg Config) *Testbed {
 			eng.SetFastForward(false)
 		}
 	}
+	tb := newTestbed(eng, cfg, "")
+	tb.group = group
+	return tb
+}
+
+// newTestbed wires a testbed onto eng. cell == "" is the paper testbed,
+// which owns eng. A non-empty cell is one Fleet cell sharing its shard's
+// engine with other cells: every host, NIC, VMD client and server name
+// carries the cell+"-" prefix, and fault-plan targets resolve with it.
+//
+// A testbed that shares its engine must not draw from the engine's master
+// stream: the draws would then depend on construction order and on which
+// shard the cell landed on. A cell therefore seeds its client stream and
+// its loss stream by name, from (Seed, cell+"/client") and
+// (Seed, cell+"/loss"), where the paper testbed splits the master stream
+// and XORs the seed. A cell also leaves the network emitter off: its actor
+// is the fixed "net", which would collide across cells in a merged
+// timeline.
+func newTestbed(eng *sim.Engine, cfg Config, cell string) *Testbed {
 	net := simnet.New(eng)
-	if cfg.Trace != nil {
+	if cfg.Trace != nil && cell == "" {
 		net.SetTrace(cfg.Trace)
 	}
 	tb := &Testbed{
-		Cfg:   cfg,
-		Eng:   eng,
-		Net:   net,
-		group: group,
-		vms:   make(map[string]*VMHandle),
+		Cfg:  cfg,
+		Eng:  eng,
+		Net:  net,
+		cell: cell,
+		vms:  make(map[string]*VMHandle),
 	}
 	tb.Source = host.New(eng, net, host.Config{
-		Name: "source", RAMBytes: cfg.HostRAMBytes,
+		Name: tb.name("source"), RAMBytes: cfg.HostRAMBytes,
 		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: cfg.NetBytesPerSec,
 	})
 	destNet := cfg.NetBytesPerSec
@@ -180,7 +202,7 @@ func New(cfg Config) *Testbed {
 		destNet = cfg.DestNetBytesPerSec
 	}
 	tb.Dest = host.New(eng, net, host.Config{
-		Name: "dest", RAMBytes: cfg.HostRAMBytes,
+		Name: tb.name("dest"), RAMBytes: cfg.HostRAMBytes,
 		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: destNet,
 	})
 	tb.Source.ConfigureSharedSwap(cfg.SSD, cfg.SwapPartitionBytes)
@@ -190,7 +212,7 @@ func New(cfg Config) *Testbed {
 		tb.Source.SetObserver(cfg.Trace, cfg.Metrics)
 		tb.Dest.SetObserver(cfg.Trace, cfg.Metrics)
 	}
-	tb.ClientNIC = net.NewNIC("clients", cfg.NetBytesPerSec)
+	tb.ClientNIC = net.NewNIC(tb.name("clients"), cfg.NetBytesPerSec)
 
 	tb.VMD = vmd.New(eng, net)
 	if cfg.Trace != nil || cfg.Metrics != nil {
@@ -204,11 +226,12 @@ func New(cfg Config) *Testbed {
 		tb.VMD.SetStrict(true)
 	}
 	for i := 0; i < cfg.Intermediates; i++ {
-		nic := net.NewNIC(fmt.Sprintf("inter%d", i+1), cfg.NetBytesPerSec)
-		tb.VMD.AddServer(fmt.Sprintf("inter%d", i+1), nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
+		name := tb.name(fmt.Sprintf("inter%d", i+1))
+		nic := net.NewNIC(name, cfg.NetBytesPerSec)
+		tb.VMD.AddServer(name, nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
 	}
-	tb.Source.SetVMDClient(tb.VMD.NewClient("source", tb.Source.NIC(), cfg.NetLatency))
-	tb.Dest.SetVMDClient(tb.VMD.NewClient("dest", tb.Dest.NIC(), cfg.NetLatency))
+	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), cfg.NetLatency))
+	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), cfg.NetLatency))
 	if cfg.VMD.Tiers.Enabled {
 		// The compressed-RAM tier absorbs the migrated-to host's cold pages;
 		// bulk migration writes bypass it (their point is to leave the host).
@@ -220,7 +243,11 @@ func New(cfg Config) *Testbed {
 	tb.Dest.VMDClient().AttachSpill(tb.Dest.SwapDevice())
 	if !cfg.Faults.Empty() {
 		tb.VMD.EnableFaultTolerance(cfg.VMDFaultTimeoutSeconds)
-		tb.applyFaultPlan(cfg.Faults)
+		lossSeed := cfg.Seed ^ 0x9e3779b97f4a7c15
+		if cell != "" {
+			lossSeed = sim.SeedForName(cfg.Seed, cell+"/loss")
+		}
+		tb.applyFaultPlan(cfg.Faults, lossSeed)
 	}
 	if cfg.Metrics != nil {
 		net.RegisterMetrics(cfg.Metrics)
@@ -233,19 +260,28 @@ func New(cfg Config) *Testbed {
 	return tb
 }
 
+// name prefixes a role name ("source", "inter1", ...) with the testbed's
+// cell, if it has one.
+func (tb *Testbed) name(role string) string {
+	if tb.cell == "" {
+		return role
+	}
+	return tb.cell + "-" + role
+}
+
 // applyFaultPlan resolves the schedule's targets (servers for
-// crash/restart, NICs for link and loss events) and arms one engine event
-// per entry. Unknown targets panic at build time: a fault plan that names
-// nothing is a scenario bug, not a runtime condition.
-func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan) {
-	// The loss draws come from a dedicated stream derived from the run
-	// seed, so arming a loss window never perturbs the workload RNGs.
-	lossSeed := tb.Cfg.Seed ^ 0x9e3779b97f4a7c15
+// crash/restart, NICs for link and loss events) within the testbed's cell
+// and arms one engine event per entry. Unknown targets panic at build
+// time: a fault plan that names nothing is a scenario bug, not a runtime
+// condition. The loss draws come from lossSeed, a dedicated stream, so
+// arming a loss window never perturbs the workload RNGs.
+func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan, lossSeed uint64) {
 	for _, ev := range plan.Sorted() {
 		ev := ev
+		target := tb.name(ev.Target)
 		switch ev.Kind {
 		case sim.FaultCrash, sim.FaultRestart:
-			srv := tb.VMD.ServerByName(ev.Target)
+			srv := tb.VMD.ServerByName(target)
 			if srv == nil {
 				panic("cluster: fault plan names unknown VMD server " + ev.Target)
 			}
@@ -255,14 +291,14 @@ func (tb *Testbed) applyFaultPlan(plan *sim.FaultPlan) {
 				tb.Eng.AfterSeconds(ev.At, srv.Restart)
 			}
 		case sim.FaultLinkDown, sim.FaultLinkUp:
-			nic := tb.Net.NICByName(ev.Target)
+			nic := tb.Net.NICByName(target)
 			if nic == nil {
 				panic("cluster: fault plan names unknown NIC " + ev.Target)
 			}
 			down := ev.Kind == sim.FaultLinkDown
 			tb.Eng.AfterSeconds(ev.At, func() { nic.SetDown(down) })
 		case sim.FaultLossStart, sim.FaultLossEnd:
-			nic := tb.Net.NICByName(ev.Target)
+			nic := tb.Net.NICByName(target)
 			if nic == nil {
 				panic("cluster: fault plan names unknown NIC " + ev.Target)
 			}
@@ -416,7 +452,13 @@ func (h *VMHandle) AttachClient(cfg workload.ClientConfig, d dist.Dist) *workloa
 	tb := h.tb
 	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), tb.Cfg.NetLatency)
 	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
-	h.Client = workload.NewClient(tb.Eng, cfg, h.Store, d, h.srcFlows[0], h.srcFlows[1], tb.Eng.RNG().Split())
+	var rng *sim.RNG
+	if tb.cell == "" {
+		rng = tb.Eng.RNG().Split()
+	} else {
+		rng = sim.NewRNG(sim.SeedForName(tb.Cfg.Seed, tb.cell+"/client")) // see newTestbed
+	}
+	h.Client = workload.NewClient(tb.Eng, cfg, h.Store, d, h.srcFlows[0], h.srcFlows[1], rng)
 	return h.Client
 }
 
@@ -434,30 +476,13 @@ func (h *VMHandle) TrackWSS(cfg wss.TrackerConfig) *wss.Tracker {
 // controller holds such requests Pending).
 var ErrMigrationActive = errors.New("migration already in progress")
 
-// Migrate starts a live migration of the VM from its current host to the
-// testbed's dest with the given technique and destination reservation. The
-// benchmark client (if any) retargets its flows at switchover, exactly as
-// an external load balancer would redirect traffic. It fails with
-// ErrMigrationActive while a previous migration of the VM is still live.
-func (tb *Testbed) Migrate(h *VMHandle, tech core.Technique, destReservationBytes int64) (*core.Migration, error) {
-	return tb.MigrateToTuned(h, tech, tb.Dest, destReservationBytes, core.Tuning{})
-}
-
-// MigrateTuned is Migrate with explicit engine tuning (used by the
-// ablation experiments).
-func (tb *Testbed) MigrateTuned(h *VMHandle, tech core.Technique, destReservationBytes int64, tun core.Tuning) (*core.Migration, error) {
-	return tb.MigrateToTuned(h, tech, tb.Dest, destReservationBytes, tun)
-}
-
-// MigrateTo is Migrate with an explicit destination host (any host in the
-// testbed other than the VM's current one).
-func (tb *Testbed) MigrateTo(h *VMHandle, tech core.Technique, dest *host.Host, destReservationBytes int64) (*core.Migration, error) {
-	return tb.MigrateToTuned(h, tech, dest, destReservationBytes, core.Tuning{})
-}
-
-// MigrateToTuned is the general form every Migrate variant delegates to:
-// explicit destination host and engine tuning.
-func (tb *Testbed) MigrateToTuned(h *VMHandle, tech core.Technique, dest *host.Host, destReservationBytes int64, tun core.Tuning) (*core.Migration, error) {
+// Migrate starts a live migration of the VM from its current host to dest
+// (any other host of the testbed) with the given technique, destination
+// reservation and engine tuning. The benchmark client (if any) retargets
+// its flows at switchover, exactly as an external load balancer would
+// redirect traffic. A nil or same-host dest is an error, and so is a VM
+// whose previous migration is still live (ErrMigrationActive).
+func (tb *Testbed) Migrate(h *VMHandle, tech core.Technique, dest *host.Host, destReservationBytes int64, tun core.Tuning) (*core.Migration, error) {
 	if h.Migration != nil && !h.Migration.Done() {
 		return nil, fmt.Errorf("cluster: VM %s: %w", h.VM.Name(), ErrMigrationActive)
 	}

@@ -62,7 +62,7 @@ func TestMigrateRetargetsClient(t *testing.T) {
 	cfg.MaxOpsPerSecond = 3000
 	h.AttachClient(cfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(30)
-	if _, err := tb.Migrate(h, core.Agile, 1*GiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 1*GiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.RunUntilMigrated(h, 300) != OutcomeCompleted {
@@ -90,7 +90,7 @@ func TestAllTechniquesViaTestbed(t *testing.T) {
 		h := tb.DeployVM("vm1", 1*GiB, 512*MiB, tech == core.Agile)
 		h.LoadDataset(768 * MiB)
 		tb.RunSeconds(60)
-		if _, err := tb.Migrate(h, tech, 512*MiB); err != nil {
+		if _, err := tb.Migrate(h, tech, tb.Dest, 512*MiB, core.Tuning{}); err != nil {
 			t.Fatal(err)
 		}
 		if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {
@@ -190,7 +190,7 @@ func TestScatterGatherViaTestbed(t *testing.T) {
 	h := tb.DeployVM("vm1", 1*GiB, 700*MiB, true)
 	h.LoadDataset(900 * MiB)
 	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.ScatterGather, 700*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.ScatterGather, tb.Dest, 700*MiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {

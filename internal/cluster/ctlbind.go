@@ -50,7 +50,7 @@ func (tb *Testbed) Launch(vm, dest string, tech core.Technique, destReservationB
 	if d == nil {
 		return nil, fmt.Errorf("cluster: unknown host %q", dest)
 	}
-	m, err := tb.MigrateToTuned(h, tech, d, destReservationBytes,
+	m, err := tb.Migrate(h, tech, d, destReservationBytes,
 		core.Tuning{BandwidthCapBytesPerSec: capBytesPerSec})
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ func runAgileScenario(t *testing.T, cfg Config) *VMHandle {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {
@@ -66,7 +66,7 @@ func TestAgileSurvivesVMDServerCrashWithReplicas(t *testing.T) {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {
@@ -92,7 +92,7 @@ func TestUnreplicatedCrashDegradesWithoutPanic(t *testing.T) {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	tb.Migrate(h, core.Agile, 512*MiB)
+	tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{})
 	// The headline guarantee: losing a VMD server without replicas
 	// degrades (zero-filled reads, spills, retries) — the run completes.
 	if tb.RunUntilMigrated(h, 600) != OutcomeCompleted {
@@ -109,7 +109,7 @@ func TestAbortRollsBackToSource(t *testing.T) {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	m, err := tb.Migrate(h, core.Agile, 512*MiB)
+	m, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAbortRefusedAfterSwitchover(t *testing.T) {
 	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
 	h.LoadDataset(768 * MiB)
 	tb.RunSeconds(60)
-	m, err := tb.Migrate(h, core.Agile, 512*MiB)
+	m, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDemandRetryRecoversFromLossWindow(t *testing.T) {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	m, err := tb.MigrateTuned(h, core.Agile, 512*MiB, core.Tuning{DemandRetrySeconds: 0.2})
+	m, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{DemandRetrySeconds: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

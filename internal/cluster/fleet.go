@@ -6,25 +6,20 @@ import (
 	"agilemig/internal/blockdev"
 	"agilemig/internal/core"
 	"agilemig/internal/dist"
-	"agilemig/internal/guest"
-	"agilemig/internal/host"
-	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
 	"agilemig/internal/sim"
-	"agilemig/internal/simnet"
 	"agilemig/internal/trace"
-	"agilemig/internal/vmd"
 	"agilemig/internal/workload"
 )
 
 // FleetConfig shapes a Fleet: an evacuation-scale cluster of independent
 // migration cells spread across the shards of the parallel kernel. Each
-// cell is a miniature paper testbed — source host, destination host, one
-// VMD intermediate, an external client — with its own simnet.Network:
-// simnet's max-min fairness couples every NIC of one network into a single
-// arbitration domain, so the network is the unit of shard ownership
-// (DESIGN.md §6g) and giving each cell its own keeps cells independent and
-// shardable.
+// cell is a Testbed — source host, destination host, one VMD
+// intermediate, an external client — built on its shard's engine with its
+// own simnet.Network: simnet's max-min fairness couples every NIC of one
+// network into a single arbitration domain, so the network is the unit of
+// shard ownership (DESIGN.md §6g) and giving each cell its own keeps cells
+// independent and shardable.
 type FleetConfig struct {
 	Seed uint64
 	// Cells is the number of migration cells; each contributes two full
@@ -71,12 +66,13 @@ type FleetConfig struct {
 	// cell reports Outcome "aborted" instead of blocking the fleet forever.
 	// Zero disables the watchdog (the historical behaviour).
 	MigrationTimeoutSeconds float64
-	// Faults, when non-empty, is a per-cell fault schedule. Targets are
-	// resolved inside each afflicted cell with its name prefix: "src",
-	// "dst", "clients" and "inter" name the cell's NICs (for link and loss
-	// events) and "inter" its VMD server (for crash/restart). Afflicted
-	// cells arm the VMD fault-tolerance timeouts and the demand-paging
-	// retry path, exactly as Testbed does under a fault plan.
+	// Faults, when non-empty, is a per-cell fault schedule with the same
+	// target vocabulary as Config.Faults: "source", "dest", "clients" and
+	// "inter1" name the cell's NICs (for link and loss events) and "inter1"
+	// its VMD server (for crash/restart); each afflicted cell resolves them
+	// to its own prefixed components. Afflicted cells arm the VMD
+	// fault-tolerance timeouts and the demand-paging retry path, exactly as
+	// a Testbed does under a fault plan.
 	Faults *sim.FaultPlan
 	// FaultCells selects which cell indices receive the fault plan; nil
 	// applies it to every cell.
@@ -155,33 +151,14 @@ const (
 	FleetOutcomeUnfinished = "unfinished"
 )
 
-// fleetCell is one migration cell: everything it owns lives on one shard.
+// fleetCell is one migration cell: a testbed on its shard's engine, and
+// the one VM it evacuates.
 type fleetCell struct {
-	name  string
-	shard int
-	eng   *sim.Engine
-	net   *simnet.Network
-
-	src, dst  *host.Host
-	clientNIC *simnet.NIC
-	vmd       *vmd.VMD
-	vm        *guest.VM
-	ns        *vmd.Namespace
-	store     *workload.KVStore
-	client    *workload.Client
-
-	srcFlows [2]*simnet.Flow
-	dstFlows [2]*simnet.Flow
-
-	tr  *trace.Trace
-	reg *metrics.Registry
-
-	row  FleetRow
-	done bool
-	// faulted marks cells afflicted by the fleet's fault plan.
-	faulted bool
+	tb  *Testbed
+	vm  *VMHandle
+	row FleetRow
 	// abortReason is set (on the cell's shard) before the watchdog calls
-	// Abort, so OnComplete can attribute the rollback.
+	// Abort, so the completion callback can attribute the rollback.
 	abortReason string
 }
 
@@ -235,7 +212,38 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	}
 
 	for i := 0; i < cfg.Cells; i++ {
-		f.cells = append(f.cells, f.buildCell(i))
+		name := fmt.Sprintf("cell%03d", i)
+		c := &fleetCell{row: FleetRow{Cell: name, Shard: i * cfg.Shards / cfg.Cells}}
+		tcfg := Config{
+			Seed:                 cfg.Seed,
+			HostRAMBytes:         cfg.HostRAMBytes,
+			OSOverheadBytes:      cfg.OSOverheadBytes,
+			NetBytesPerSec:       cfg.NetBytesPerSec,
+			NetLatency:           cfg.NetLatency,
+			SSD:                  cfg.SSD,
+			SwapPartitionBytes:   cfg.SwapPartitionBytes,
+			Intermediates:        1,
+			IntermediateRAMBytes: cfg.IntermediateRAMBytes,
+			MetricsSampleSeconds: cfg.MetricsSampleSeconds,
+		}
+		tcfg.SSD.Name = name + "-" + cfg.SSD.Name
+		if cfg.Observe {
+			tcfg.Trace = trace.New(cfg.TraceCapacity)
+			tcfg.Metrics = metrics.NewRegistry()
+		}
+		if f.cellFaulted(i) {
+			tcfg.Faults = cfg.Faults
+		}
+		c.tb = newTestbed(g.Engine(c.row.Shard), tcfg, name)
+		c.vm = c.tb.DeployVM(name+"-vm", cfg.VMMemBytes, cfg.ReservationBytes, true)
+		c.vm.LoadDataset(cfg.DatasetBytes)
+		wcfg := workload.YCSB()
+		wcfg.Name = name + "-ycsb"
+		wcfg.MaxOpsPerSecond = cfg.MaxOpsPerSecond
+		wcfg.Concurrency = 8
+		wcfg.WriteFraction = cfg.WriteFraction
+		c.vm.AttachClient(wcfg, dist.NewUniform(c.vm.Store.Records()))
+		f.cells = append(f.cells, c)
 	}
 
 	// The controller: one staggered start command per cell, issued from
@@ -251,8 +259,8 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	for i, c := range f.cells {
 		c := c
 		at := sim.Time(warmup) + sim.Time(int64(i)*int64(stagger))
-		link := starts[c.shard]
-		back := dones[c.shard]
+		link := starts[c.row.Shard]
+		back := dones[c.row.Shard]
 		eng0.Schedule(at, func() {
 			link.Send(0, func() {
 				f.startCell(c, func() { back.Send(0, f.cellCompleted) })
@@ -260,105 +268,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		})
 	}
 	return f
-}
-
-// buildCell assembles cell i on its block-assigned shard.
-func (f *Fleet) buildCell(i int) *fleetCell {
-	cfg := f.Cfg
-	c := &fleetCell{
-		name:  fmt.Sprintf("cell%03d", i),
-		shard: i * cfg.Shards / cfg.Cells,
-	}
-	c.eng = f.Group.Engine(c.shard)
-	c.row.Cell = c.name
-	c.row.Shard = c.shard
-
-	if cfg.Observe {
-		c.tr = trace.New(cfg.TraceCapacity)
-		c.reg = metrics.NewRegistry()
-	}
-
-	c.net = simnet.New(c.eng)
-	// No net.SetTrace: the network emitter's actor name is the fixed
-	// "net", which would collide across cells in a merged timeline.
-
-	ssd := cfg.SSD
-	ssd.Name = c.name + "-" + ssd.Name
-	c.src = host.New(c.eng, c.net, host.Config{
-		Name: c.name + "-src", RAMBytes: cfg.HostRAMBytes,
-		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: cfg.NetBytesPerSec,
-	})
-	c.dst = host.New(c.eng, c.net, host.Config{
-		Name: c.name + "-dst", RAMBytes: cfg.HostRAMBytes,
-		OSOverheadBytes: cfg.OSOverheadBytes, NetBytesPerSec: cfg.NetBytesPerSec,
-	})
-	c.src.ConfigureSharedSwap(ssd, cfg.SwapPartitionBytes)
-	c.dst.ConfigureSharedSwap(ssd, cfg.SwapPartitionBytes)
-	if cfg.Observe {
-		c.src.SetObserver(c.tr, c.reg)
-		c.dst.SetObserver(c.tr, c.reg)
-	}
-	c.clientNIC = c.net.NewNIC(c.name+"-clients", cfg.NetBytesPerSec)
-
-	c.vmd = vmd.New(c.eng, c.net)
-	if cfg.Observe {
-		c.vmd.SetObserver(c.tr, c.reg)
-	}
-	interNIC := c.net.NewNIC(c.name+"-inter", cfg.NetBytesPerSec)
-	c.vmd.AddServer(c.name+"-inter", interNIC, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
-	c.src.SetVMDClient(c.vmd.NewClient(c.name+"-src", c.src.NIC(), cfg.NetLatency))
-	c.dst.SetVMDClient(c.vmd.NewClient(c.name+"-dst", c.dst.NIC(), cfg.NetLatency))
-	c.src.VMDClient().AttachSpill(c.src.SwapDevice())
-	c.dst.VMDClient().AttachSpill(c.dst.SwapDevice())
-
-	// The VM, its dataset and its per-VM VMD swap namespace (the Agile
-	// deployment, mirroring Testbed.DeployVM).
-	vmName := c.name + "-vm"
-	c.vm = guest.New(c.eng, vmName, cfg.VMMemBytes)
-	c.ns = c.vmd.CreateNamespace(vmName, c.vm.Pages())
-	c.ns.AttachTo(c.src.VMDClient())
-	c.tr.Emitter(trace.ScopeVM, vmName).
-		Emit(c.eng.NowSeconds(), trace.NamespaceAttach, "namespace attached at source (deploy)")
-	c.src.AddVM(c.vm, cfg.ReservationBytes, host.VMDSwapBackend(c.ns, c.src.VMDClient()))
-	c.vm.Resume()
-
-	offset := c.vm.MemBytes() / 32
-	offset -= offset % 4096
-	dataset := cfg.DatasetBytes
-	if offset+dataset > c.vm.MemBytes() {
-		dataset = c.vm.MemBytes() - offset
-	}
-	c.store = workload.NewKVStore(c.vm, offset, dataset, 1024)
-	c.store.Load()
-
-	wcfg := workload.YCSB()
-	wcfg.Name = c.name + "-ycsb"
-	wcfg.MaxOpsPerSecond = cfg.MaxOpsPerSecond
-	wcfg.Concurrency = 8
-	wcfg.WriteFraction = cfg.WriteFraction
-	c.srcFlows[0] = c.net.NewFlow("app:req:"+vmName, c.clientNIC, c.src.NIC(), cfg.NetLatency)
-	c.srcFlows[1] = c.net.NewFlow("app:resp:"+vmName, c.src.NIC(), c.clientNIC, cfg.NetLatency)
-	// The client stream is derived from (seed, cell name), never from a
-	// shard engine's master stream: the draw sequence is independent of
-	// construction order and of which shard the cell landed on.
-	rng := sim.NewRNG(sim.SeedForName(cfg.Seed, c.name+"/client"))
-	c.client = workload.NewClient(c.eng, wcfg, c.store, dist.NewUniform(c.store.Records()),
-		c.srcFlows[0], c.srcFlows[1], rng)
-
-	if cfg.Observe {
-		c.net.RegisterMetrics(c.reg)
-		interval := cfg.MetricsSampleSeconds
-		if interval <= 0 {
-			interval = 1
-		}
-		c.reg.StartSampling(c.eng, interval)
-	}
-	if !cfg.Faults.Empty() && f.cellFaulted(i) {
-		c.faulted = true
-		c.vmd.EnableFaultTolerance(0)
-		f.applyCellFaults(c, cfg.Faults)
-	}
-	return c
 }
 
 // cellFaulted reports whether cell i is afflicted by the fleet fault plan.
@@ -374,83 +283,22 @@ func (f *Fleet) cellFaulted(i int) bool {
 	return false
 }
 
-// applyCellFaults arms the plan inside one cell, resolving each target with
-// the cell's name prefix (mirroring Testbed.applyFaultPlan). Everything is
-// scheduled on the cell's own engine, so fault timing is shard-invariant.
-func (f *Fleet) applyCellFaults(c *fleetCell, plan *sim.FaultPlan) {
-	lossSeed := sim.SeedForName(f.Cfg.Seed, c.name+"/loss")
-	for _, ev := range plan.Sorted() {
-		ev := ev
-		target := c.name + "-" + ev.Target
-		switch ev.Kind {
-		case sim.FaultCrash, sim.FaultRestart:
-			srv := c.vmd.ServerByName(target)
-			if srv == nil {
-				panic("cluster: fleet fault plan names unknown VMD server " + ev.Target)
-			}
-			if ev.Kind == sim.FaultCrash {
-				c.eng.AfterSeconds(ev.At, srv.Crash)
-			} else {
-				c.eng.AfterSeconds(ev.At, srv.Restart)
-			}
-		case sim.FaultLinkDown, sim.FaultLinkUp:
-			nic := c.net.NICByName(target)
-			if nic == nil {
-				panic("cluster: fleet fault plan names unknown NIC " + ev.Target)
-			}
-			down := ev.Kind == sim.FaultLinkDown
-			c.eng.AfterSeconds(ev.At, func() { nic.SetDown(down) })
-		case sim.FaultLossStart, sim.FaultLossEnd:
-			nic := c.net.NICByName(target)
-			if nic == nil {
-				panic("cluster: fleet fault plan names unknown NIC " + ev.Target)
-			}
-			rate := 0.0
-			if ev.Kind == sim.FaultLossStart {
-				rate = ev.Rate
-			}
-			c.eng.AfterSeconds(ev.At, func() { nic.SetLossRate(rate, lossSeed) })
-		}
-	}
-}
-
 // startCell runs on the cell's own shard when the controller's start
 // command arrives: it records the start time and launches the Agile
 // migration, wiring onDone to fire (still on the cell's shard) when the
-// migration completes.
+// migration reaches a terminal state.
 func (f *Fleet) startCell(c *fleetCell, onDone func()) {
-	c.row.StartedAtSeconds = c.eng.NowSeconds()
-	var tun core.Tuning
-	if c.faulted {
-		// A faulty cell needs the demand-paging retry path armed, or a
-		// single lost request wedges its destination forever.
-		tun.DemandRetrySeconds = 1.0
-	}
-	spec := core.Spec{
-		VM:                   c.vm,
-		Source:               c.src,
-		Dest:                 c.dst,
-		DestReservationBytes: f.Cfg.ReservationBytes,
-		DestBackend:          host.VMDSwapBackend(c.ns, c.dst.VMDClient()),
-		Namespace:            c.ns,
-		Latency:              f.Cfg.NetLatency,
-		Tuning:               tun,
-		Trace:                c.tr,
-		Metrics:              c.reg,
-		OnSwitchover: func() {
-			c.dstFlows[0] = c.net.NewFlow("app:req2:"+c.vm.Name(), c.clientNIC, c.dst.NIC(), f.Cfg.NetLatency)
-			c.dstFlows[1] = c.net.NewFlow("app:resp2:"+c.vm.Name(), c.dst.NIC(), c.clientNIC, f.Cfg.NetLatency)
-			c.client.SetFlows(c.dstFlows[0], c.dstFlows[1])
-		},
-		OnComplete: func(res *core.Result) {
+	eng := c.tb.Eng
+	c.row.StartedAtSeconds = eng.NowSeconds()
+	_, err := c.tb.Launch(c.vm.VM.Name(), c.tb.Dest.Name(), core.Agile, f.Cfg.ReservationBytes, 0,
+		func(res *core.Result) {
 			// Everything in the row is read at the completion tick, on the
 			// cell's shard — deterministic however long the run continues.
-			c.done = true
-			c.row.DoneAtSeconds = c.eng.NowSeconds()
+			c.row.DoneAtSeconds = eng.NowSeconds()
 			c.row.TotalSeconds = res.TotalSeconds
 			c.row.DowntimeSeconds = res.DowntimeSeconds
 			c.row.BytesTransferred = res.BytesTransferred
-			c.row.OpsAtComplete = c.client.OpsCompleted()
+			c.row.OpsAtComplete = c.vm.Client.OpsCompleted()
 			if res.Aborted {
 				c.row.Outcome = FleetOutcomeAborted
 				c.row.Reason = c.abortReason
@@ -461,12 +309,15 @@ func (f *Fleet) startCell(c *fleetCell, onDone func()) {
 				c.row.Outcome = FleetOutcomeCompleted
 			}
 			onDone()
-		},
+		})
+	if err != nil {
+		// Each cell migrates its one VM once, onto a host it built.
+		panic(err)
 	}
-	m := core.Start(c.eng, c.net, core.Agile, spec)
 	if f.Cfg.MigrationTimeoutSeconds > 0 {
+		m := c.vm.Migration
 		deadline := f.Cfg.MigrationTimeoutSeconds
-		c.eng.AfterSeconds(deadline, func() {
+		eng.AfterSeconds(deadline, func() {
 			if m.Done() || m.Switched() {
 				// Finished, rolled back, or past the point of no return (a
 				// switched migration finishes at destination pace).
@@ -540,18 +391,6 @@ func (f *Fleet) RunEvacuation(maxSeconds float64) EvacuationResult {
 	return res
 }
 
-// Completed returns how many cells' migrations completed (evacuated —
-// rollbacks do not count).
-func (f *Fleet) Completed() int {
-	n := 0
-	for _, c := range f.cells {
-		if c.done && c.row.Outcome == FleetOutcomeCompleted {
-			n++
-		}
-	}
-	return n
-}
-
 // Rows returns the per-cell outcomes in cell order. Call it only between
 // runs (at a barrier), when every shard is quiescent.
 func (f *Fleet) Rows() []FleetRow {
@@ -569,7 +408,7 @@ func (f *Fleet) Rows() []FleetRow {
 func (f *Fleet) MergedTraceEvents() []trace.Event {
 	traces := make([]*trace.Trace, len(f.cells))
 	for i, c := range f.cells {
-		traces[i] = c.tr
+		traces[i] = c.tb.Cfg.Trace
 	}
 	return trace.MergeByTime(traces...)
 }
@@ -578,7 +417,7 @@ func (f *Fleet) MergedTraceEvents() []trace.Event {
 func (f *Fleet) TraceDrops() int64 {
 	var d int64
 	for _, c := range f.cells {
-		d += c.tr.Drops()
+		d += c.tb.Cfg.Trace.Drops()
 	}
 	return d
 }
@@ -590,7 +429,7 @@ func (f *Fleet) TraceDrops() int64 {
 func (f *Fleet) MergedSpans() []trace.Span {
 	traces := make([]*trace.Trace, len(f.cells))
 	for i, c := range f.cells {
-		traces[i] = c.tr
+		traces[i] = c.tb.Cfg.Trace
 	}
 	return trace.MergeSpans(traces...)
 }
@@ -599,7 +438,7 @@ func (f *Fleet) MergedSpans() []trace.Span {
 func (f *Fleet) SpanDrops() int64 {
 	var d int64
 	for _, c := range f.cells {
-		d += c.tr.SpanDrops()
+		d += c.tb.Cfg.Trace.SpanDrops()
 	}
 	return d
 }
@@ -608,15 +447,15 @@ func (f *Fleet) SpanDrops() int64 {
 func (f *Fleet) OpenSpans() int {
 	var n int
 	for _, c := range f.cells {
-		n += c.tr.OpenSpans()
+		n += c.tb.Cfg.Trace.OpenSpans()
 	}
 	return n
 }
 
 // CellTrace returns cell i's private trace (nil without Observe); the
 // -race sink-isolation test uses it to prove shards share no emitter.
-func (f *Fleet) CellTrace(i int) *trace.Trace { return f.cells[i].tr }
+func (f *Fleet) CellTrace(i int) *trace.Trace { return f.cells[i].tb.Cfg.Trace }
 
 // CellRegistry returns cell i's private metrics registry (nil without
 // Observe).
-func (f *Fleet) CellRegistry(i int) *metrics.Registry { return f.cells[i].reg }
+func (f *Fleet) CellRegistry(i int) *metrics.Registry { return f.cells[i].tb.Cfg.Metrics }

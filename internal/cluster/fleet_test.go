@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"agilemig/internal/sim"
 	"agilemig/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func testFleetConfig(cells, shards int) FleetConfig {
 func TestFleetEvacuationCompletes(t *testing.T) {
 	f := NewFleet(testFleetConfig(4, 2))
 	if res := f.RunEvacuation(600); !res.Success() {
-		t.Fatalf("evacuation incomplete: %d/%d cells", f.Completed(), 4)
+		t.Fatalf("evacuation incomplete: %s", res)
 	}
 	for _, r := range f.Rows() {
 		if r.TotalSeconds <= 0 || r.DowntimeSeconds <= 0 {
@@ -137,4 +138,79 @@ func TestShardedFleetIsolatedSinks(t *testing.T) {
 			t.Fatalf("cell %d has no registry", i)
 		}
 	}
+}
+
+// faultedFleetConfig afflicts cell 2 of a four-cell fleet with a VMD
+// server crash and a loss window on its source NIC, both timed around the
+// cell's migration start (warmup + 2 staggers). The watchdog bounds the
+// run should the faults wedge the migration.
+func faultedFleetConfig(shards int) FleetConfig {
+	cfg := testFleetConfig(4, shards)
+	cfg.Observe = true
+	cfg.MigrationTimeoutSeconds = 10
+	start := cfg.WarmupSeconds + 2*cfg.StaggerSeconds
+	cfg.Faults = (&sim.FaultPlan{}).
+		CrashRestart("inter1", start-0.05, 0.5).
+		LossWindow("source", start, 1, 0.2)
+	cfg.FaultCells = []int{2}
+	return cfg
+}
+
+// TestFleetCellFaultsShardInvariant drives a server crash and a loss
+// window through a cell's fault plan — the per-cell server lookup and the
+// by-name loss seed — and requires the fleet's rows and merged trace to be
+// byte-identical whichever shard the afflicted cell runs on.
+func TestFleetCellFaultsShardInvariant(t *testing.T) {
+	run := func(shards, procs int) ([]FleetRow, []byte, *Fleet) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f := NewFleet(faultedFleetConfig(shards))
+		f.RunEvacuation(600)
+		rows := f.Rows()
+		for i := range rows {
+			rows[i].Shard = 0
+		}
+		var tj bytes.Buffer
+		if err := trace.WriteEventsJSONL(&tj, f.MergedTraceEvents(), f.TraceDrops()); err != nil {
+			t.Fatal(err)
+		}
+		return rows, tj.Bytes(), f
+	}
+	refRows, refTrace, ref := run(1, 1)
+	tr := ref.CellTrace(2)
+	if tr.Count(trace.ServerCrash) != 1 || tr.Count(trace.ServerRestart) != 1 {
+		t.Fatalf("cell 2 saw %d crashes, %d restarts; want 1 each",
+			tr.Count(trace.ServerCrash), tr.Count(trace.ServerRestart))
+	}
+	for _, i := range []int{0, 1, 3} {
+		if n := ref.CellTrace(i).Count(trace.ServerCrash); n != 0 {
+			t.Fatalf("unfaulted cell %d saw %d crashes", i, n)
+		}
+	}
+	if n := ref.cells[2].tb.Source.NIC().MessagesLost(); n == 0 {
+		t.Fatal("cell 2's loss window dropped no messages")
+	}
+	rows, tj, _ := run(3, 8)
+	for i := range rows {
+		if rows[i] != refRows[i] {
+			t.Errorf("row %d diverged at 3 shards:\n got %+v\nwant %+v", i, rows[i], refRows[i])
+		}
+	}
+	if !bytes.Equal(tj, refTrace) {
+		t.Errorf("merged trace diverged at 3 shards (%d vs %d bytes)", len(tj), len(refTrace))
+	}
+}
+
+// TestFleetUnknownFaultTargetPanics: a fleet fault plan resolves its
+// targets in the Testbed vocabulary at build time, and a name no cell
+// component carries is a scenario bug reported with the name as written.
+func TestFleetUnknownFaultTargetPanics(t *testing.T) {
+	cfg := testFleetConfig(2, 1)
+	cfg.Faults = (&sim.FaultPlan{}).LinkFlap("src", 1, 1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "unknown NIC src") {
+			t.Fatalf("got panic %q, want one naming the unknown NIC src", msg)
+		}
+	}()
+	NewFleet(cfg)
 }

@@ -28,16 +28,16 @@ func TestDoubleMigrateRejected(t *testing.T) {
 	wcfg.MaxOpsPerSecond = 3000
 	h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	tb.RunSeconds(1) // migration live, not yet switched
 
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); !errors.Is(err, ErrMigrationActive) {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{}); !errors.Is(err, ErrMigrationActive) {
 		t.Fatalf("second Migrate: got %v, want ErrMigrationActive", err)
 	}
-	if _, err := tb.MigrateTuned(h, core.PostCopy, 512*MiB, core.Tuning{}); !errors.Is(err, ErrMigrationActive) {
-		t.Fatalf("second MigrateTuned: got %v, want ErrMigrationActive", err)
+	if _, err := tb.Migrate(h, core.PostCopy, tb.Dest, 512*MiB, core.Tuning{}); !errors.Is(err, ErrMigrationActive) {
+		t.Fatalf("second Migrate (post-copy): got %v, want ErrMigrationActive", err)
 	}
 
 	// The rejection left the live migration untouched: it completes, the
@@ -50,7 +50,7 @@ func TestDoubleMigrateRejected(t *testing.T) {
 	if h.Client.OpsCompleted() == before {
 		t.Fatal("workload stalled after the rejected double migrate")
 	}
-	if _, err := tb.MigrateTo(h, core.Agile, tb.Source, 512*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Source, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatalf("follow-on migration after completion rejected: %v", err)
 	}
 	if got := tb.RunUntilMigrated(h, 600); got != OutcomeCompleted {
@@ -61,7 +61,7 @@ func TestDoubleMigrateRejected(t *testing.T) {
 // TestLaunchRejectionPreservesCallback: a second ctlplane Launch for a VM
 // whose migration is still live must fail without touching the live
 // migration's completion callback. On main, Launch installed the new
-// callback before MigrateToTuned's ErrMigrationActive check and nil-ed it
+// callback before Migrate's ErrMigrationActive check and nil-ed it
 // on the error path, so the live migration completed with no callback —
 // its controller object stayed Running forever and leaked its slot.
 func TestLaunchRejectionPreservesCallback(t *testing.T) {
@@ -94,10 +94,10 @@ func TestMigrateRejectsBadDestination(t *testing.T) {
 	tb := New(smallConfig())
 	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
 	tb.RunSeconds(1)
-	if _, err := tb.MigrateTo(h, core.Agile, nil, 512*MiB); err == nil {
+	if _, err := tb.Migrate(h, core.Agile, nil, 512*MiB, core.Tuning{}); err == nil {
 		t.Fatal("nil destination accepted")
 	}
-	if _, err := tb.MigrateTo(h, core.Agile, tb.Source, 512*MiB); err == nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Source, 512*MiB, core.Tuning{}); err == nil {
 		t.Fatal("migration onto the VM's own host accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestRunUntilMigratedReportsAborted(t *testing.T) {
 	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
 	h.LoadDataset(768 * MiB)
 	tb.RunSeconds(60)
-	m, err := tb.Migrate(h, core.Agile, 512*MiB)
+	m, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRunUntilMigratedReportsTimeout(t *testing.T) {
 	h := tb.DeployVM("vm1", 1*GiB, 512*MiB, true)
 	h.LoadDataset(768 * MiB)
 	tb.RunSeconds(60)
-	if _, err := tb.Migrate(h, core.Agile, 512*MiB); err != nil {
+	if _, err := tb.Migrate(h, core.Agile, tb.Dest, 512*MiB, core.Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	got := tb.RunUntilMigrated(h, 0.05)
@@ -230,7 +230,7 @@ func TestAbortUnderConcurrentControllerLoad(t *testing.T) {
 func TestFleetSurfacesPerCellFailure(t *testing.T) {
 	cfg := testFleetConfig(4, 2)
 	cfg.MigrationTimeoutSeconds = 10
-	cfg.Faults = (&sim.FaultPlan{}).LinkFlap("src", cfg.WarmupSeconds-1, 120)
+	cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, 120)
 	cfg.FaultCells = []int{2}
 	f := NewFleet(cfg)
 	res := f.RunEvacuation(600)

@@ -360,8 +360,5 @@ func (c *Controller) transition(m *Migration, to Phase) {
 }
 
 func (c *Controller) trace(format string, args ...interface{}) {
-	if c.cfg.Trace == nil {
-		return
-	}
-	c.cfg.Trace.Add(c.eng.NowSeconds(), trace.CtlPhase, format, args...)
+	c.cfg.Trace.Emitter(trace.ScopeCluster, "").Emitf(c.eng.NowSeconds(), trace.CtlPhase, format, args...)
 }

@@ -59,13 +59,13 @@ func RunAblationActivePush(scale float64, seed uint64) *AblationPushResult {
 	res := &AblationPushResult{}
 
 	tb, h := ablationScenario(scale, seed)
-	mustMigrate(tb, h, core.Agile, scaleBytes(4*cluster.GiB, scale))
+	mustMigrate(tb, h, core.Agile, tb.Dest, scaleBytes(4*cluster.GiB, scale), core.Tuning{})
 	if tb.RunUntilMigrated(h, scaleSeconds(4000, scale)) == cluster.OutcomeCompleted {
 		res.WithPushSeconds = h.Result.TotalSeconds
 	}
 
 	tb2, h2 := ablationScenario(scale, seed)
-	mig := mustMigrateTuned(tb2, h2, core.Agile, scaleBytes(4*cluster.GiB, scale),
+	mig := mustMigrate(tb2, h2, core.Agile, tb2.Dest, scaleBytes(4*cluster.GiB, scale),
 		core.Tuning{DisableActivePush: true})
 	// Observe for double the with-push window.
 	tb2.RunSeconds(res.WithPushSeconds*2 + scaleSeconds(60, scale))
@@ -111,7 +111,7 @@ func RunAblationRemoteSwap(scale float64, seed uint64, parallelism ...int) *Abla
 		half := &AblationRemoteSwapResult{}
 		if i == 0 {
 			tb, h := ablationScenario(scale, seed)
-			mustMigrate(tb, h, core.Agile, scaleBytes(4*cluster.GiB, scale))
+			mustMigrate(tb, h, core.Agile, tb.Dest, scaleBytes(4*cluster.GiB, scale), core.Tuning{})
 			if tb.RunUntilMigrated(h, scaleSeconds(4000, scale)) == cluster.OutcomeCompleted {
 				half.AgileSeconds = h.Result.TotalSeconds
 				half.AgileMB = float64(h.Result.BytesTransferred) / 1e6
@@ -120,7 +120,7 @@ func RunAblationRemoteSwap(scale float64, seed uint64, parallelism ...int) *Abla
 			return half
 		}
 		tb2, h2 := ablationScenario(scale, seed)
-		mustMigrateTuned(tb2, h2, core.Agile, scaleBytes(4*cluster.GiB, scale),
+		mustMigrate(tb2, h2, core.Agile, tb2.Dest, scaleBytes(4*cluster.GiB, scale),
 			core.Tuning{NoRemoteSwap: true})
 		half.NoRemoteOutcome = tb2.RunUntilMigrated(h2, scaleSeconds(8000, scale))
 		//lint:outcomecheck derived view; the full verdict stays in NoRemoteOutcome
@@ -177,7 +177,7 @@ func RunAblationAutoConverge(scale float64, seed uint64, parallelism ...int) *Ab
 		if auto {
 			tun.AutoConverge = true
 		}
-		mustMigrateTuned(tb, h, core.PreCopy, scaleBytes(4*cluster.GiB, scale), tun)
+		mustMigrate(tb, h, core.PreCopy, tb.Dest, scaleBytes(4*cluster.GiB, scale), tun)
 		done := tb.RunUntilMigrated(h, scaleSeconds(4000, scale))
 		elapsed := tb.Eng.NowSeconds() - t0
 		rate := float64(h.Client.OpsCompleted()-opsBefore) / elapsed

@@ -114,7 +114,7 @@ func RunAppPerf(cfg AppPerfConfig) *AppPerfResult {
 	startOps := tb.AggregateOps()
 	startT := tb.Eng.NowSeconds()
 	destResv := scaleBytes(7*cluster.GiB, s)
-	mustMigrate(tb, victim, cfg.Technique, destResv)
+	mustMigrate(tb, victim, cfg.Technique, tb.Dest, destResv, core.Tuning{})
 	done := tb.RunUntilMigrated(victim, scaleSeconds(4000, s))
 	// Rebalance as the cluster manager would, then keep measuring until
 	// the window closes.

@@ -49,10 +49,6 @@ type FleetReport struct {
 	Fleet      *cluster.Fleet
 }
 
-// Completed reports a clean evacuation (kept for callers of the historical
-// bool; the typed Result carries the partial-failure detail).
-func (rep FleetReport) Completed() bool { return rep.Result.Success() }
-
 // RunFleet builds and runs the evacuation. Results are byte-identical at
 // any Shards value and GOMAXPROCS (modulo the Shard placement column),
 // which the shard-equivalence suite and the CI matrix both diff.
@@ -124,7 +120,7 @@ func PrintFleet(w io.Writer, rep FleetReport) {
 		fmt.Fprintf(w, "evacuated %d VMs in %.1fs of simulated time: mean total %.2fs, mean downtime %.3fs, %.0f MB moved, %d client ops served\n",
 			len(rep.Rows), maxDone, sumTotal/n, sumDown/n, float64(totalBytes)/1e6, totalOps)
 	}
-	if !rep.Completed() {
+	if !rep.Result.Success() {
 		fmt.Fprintf(w, "WARNING: %s after %.1fs simulated\n", rep.Result, rep.SimSeconds)
 	}
 }

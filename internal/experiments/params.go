@@ -15,6 +15,7 @@ package experiments
 import (
 	"agilemig/internal/cluster"
 	"agilemig/internal/core"
+	"agilemig/internal/host"
 	"agilemig/internal/workload"
 )
 
@@ -41,17 +42,8 @@ const (
 // mustMigrate starts a migration whose preconditions the experiment has
 // already ensured (fresh testbed, no prior migration); a rejection here is
 // a scenario bug, not a runtime condition.
-func mustMigrate(tb *cluster.Testbed, h *cluster.VMHandle, tech core.Technique, destResv int64) *core.Migration {
-	m, err := tb.Migrate(h, tech, destResv)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// mustMigrateTuned is mustMigrate with explicit engine tuning.
-func mustMigrateTuned(tb *cluster.Testbed, h *cluster.VMHandle, tech core.Technique, destResv int64, tun core.Tuning) *core.Migration {
-	m, err := tb.MigrateTuned(h, tech, destResv, tun)
+func mustMigrate(tb *cluster.Testbed, h *cluster.VMHandle, tech core.Technique, dest *host.Host, destResv int64, tun core.Tuning) *core.Migration {
+	m, err := tb.Migrate(h, tech, dest, destResv, tun)
 	if err != nil {
 		panic(err)
 	}

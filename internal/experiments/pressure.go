@@ -170,7 +170,7 @@ func RunPressureTimeline(cfg PressureConfig) *PressureResult {
 	rebalanced := false
 	tb.Eng.AfterSeconds(migrateAt, func() {
 		res.MigrationStart = tb.Eng.NowSeconds() - t0
-		mustMigrate(tb, victim, cfg.Technique, destResv)
+		mustMigrate(tb, victim, cfg.Technique, tb.Dest, destResv, core.Tuning{})
 		// Once the source no longer holds the migrated VM's memory, the
 		// cluster manager redistributes the freed reservation among the
 		// three remaining VMs (§V-A: "the source host can accommodate the

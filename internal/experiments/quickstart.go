@@ -105,7 +105,7 @@ func RunQuickstart(cfg QuickstartConfig) []QuickstartResult {
 		vm.AttachClient(wcfg, dist.NewUniform(vm.Store.Records()))
 
 		tb.RunSeconds(scaleSeconds(120, cfg.Scale))
-		mustMigrate(tb, vm, tech, scaleBytes(768*cluster.MiB, cfg.Scale))
+		mustMigrate(tb, vm, tech, tb.Dest, scaleBytes(768*cluster.MiB, cfg.Scale), core.Tuning{})
 		if tb.RunUntilMigrated(vm, 4000) != cluster.OutcomeCompleted {
 			panic("experiments: quickstart migration did not finish: " + tech.String())
 		}

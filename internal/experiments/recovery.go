@@ -144,7 +144,7 @@ func RunRecovery(cfg RecoveryConfig) []RecoveryResult {
 		h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 
 		tb.RunSeconds(warmup)
-		mustMigrate(tb, h, core.Agile, scaleBytes(768*cluster.MiB, cfg.Scale))
+		mustMigrate(tb, h, core.Agile, tb.Dest, scaleBytes(768*cluster.MiB, cfg.Scale), core.Tuning{})
 		// Once execution moves to the destination, degrade the source's
 		// link for a while: demand requests and responses start getting
 		// dropped, so the destination's timeout/retry path has to carry

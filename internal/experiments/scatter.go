@@ -42,7 +42,7 @@ func RunScatterEviction(scale float64, seed uint64) []ScatterEvictionRow {
 		ccfg.MaxOpsPerSecond = 8000
 		h.AttachClient(ccfg, dist.NewUniform(h.Store.Records()))
 		tb.RunSeconds(scaleSeconds(120, scale))
-		mustMigrate(tb, h, tech, scaleBytes(3*cluster.GiB, scale))
+		mustMigrate(tb, h, tech, tb.Dest, scaleBytes(3*cluster.GiB, scale), core.Tuning{})
 		done := tb.RunUntilMigrated(h, scaleSeconds(8000, scale))
 		row := ScatterEvictionRow{Technique: tech, Outcome: done}
 		if h.Result != nil {

@@ -141,7 +141,7 @@ func runSweepPoint(cfg SizeSweepConfig, tech core.Technique, vmBytes int64, busy
 	// Settle reclaim (time scales with the amount to evict).
 	tb.RunSeconds(scaleSeconds(200, s))
 
-	mustMigrate(tb, h, tech, resv)
+	mustMigrate(tb, h, tech, tb.Dest, resv, core.Tuning{})
 	done := tb.RunUntilMigrated(h, scaleSeconds(cfg.TimeoutSeconds, s))
 	row := SizeSweepRow{
 		Technique: tech,

@@ -136,7 +136,7 @@ func runVMDSweepVariant(cfg VMDSweepConfig, v vmdSweepVariant) VMDSweepRow {
 
 	// A tight destination reservation forces the scan to demand-read from
 	// the store after switchover.
-	mustMigrateTuned(tb, h, core.Agile, scaleBytes(512*cluster.MiB, cfg.Scale), v.tun)
+	mustMigrate(tb, h, core.Agile, tb.Dest, scaleBytes(512*cluster.MiB, cfg.Scale), v.tun)
 	if tb.RunUntilMigrated(h, 4000) != cluster.OutcomeCompleted {
 		panic("experiments: vmdsweep migration did not finish: " + v.name)
 	}

@@ -148,7 +148,7 @@ func TestAnalyzeDowntimeMatchesResult(t *testing.T) {
 		wcfg.MaxOpsPerSecond = 5000
 		h.AttachClient(wcfg, dist.NewUniform(h.Store.Records()))
 		tb.RunSeconds(6)
-		if _, err := tb.Migrate(h, tech, 26*1<<20); err != nil {
+		if _, err := tb.Migrate(h, tech, tb.Dest, 26*1<<20, core.Tuning{}); err != nil {
 			t.Fatal(err)
 		}
 		if tb.RunUntilMigrated(h, 4000) != cluster.OutcomeCompleted {

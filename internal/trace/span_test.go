@@ -118,7 +118,7 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	em.End(2.5, child)
 	em.End(3.0, root)
 	em.Begin(3.5, "orphaned-open", 0) // left open on purpose
-	tr.Add(0.5, MigrationStart, "ev")
+	tr.Emitter(ScopeCluster, "").Emitf(0.5, MigrationStart, "ev")
 
 	var b bytes.Buffer
 	if err := WriteJSONL(&b, tr); err != nil {
@@ -157,7 +157,7 @@ func TestSpanJSONLOmittedWhenAbsent(t *testing.T) {
 	// A span-free trace must serialize byte-identically to the pre-span
 	// format: no span lines, no span fields in the summary.
 	tr := New(8)
-	tr.Add(1.0, Suspend, "x")
+	tr.Emitter(ScopeCluster, "").Emitf(1.0, Suspend, "x")
 	var b bytes.Buffer
 	if err := WriteJSONL(&b, tr); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,9 @@ import (
 
 func TestAddAndFind(t *testing.T) {
 	tr := New(16)
-	tr.Add(1.5, MigrationStart, "vm%d", 1)
-	tr.Add(2.0, Suspend, "stop")
-	tr.Add(3.0, Switchover, "resumed")
+	tr.Emitter(ScopeCluster, "").Emitf(1.5, MigrationStart, "vm%d", 1)
+	tr.Emitter(ScopeCluster, "").Emitf(2.0, Suspend, "stop")
+	tr.Emitter(ScopeCluster, "").Emitf(3.0, Switchover, "resumed")
 	if len(tr.Events()) != 3 {
 		t.Fatalf("%d events", len(tr.Events()))
 	}
@@ -28,7 +28,7 @@ func TestAddAndFind(t *testing.T) {
 func TestRingDropsOldest(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {
-		tr.Add(float64(i), RoundEnd, "r%d", i)
+		tr.Emitter(ScopeCluster, "").Emitf(float64(i), RoundEnd, "r%d", i)
 	}
 	ev := tr.Events()
 	if len(ev) != 4 {
@@ -37,24 +37,24 @@ func TestRingDropsOldest(t *testing.T) {
 	if ev[0].Detail != "r6" || ev[3].Detail != "r9" {
 		t.Fatalf("wrong window: %v .. %v", ev[0].Detail, ev[3].Detail)
 	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("Dropped = %d", tr.Dropped())
+	if tr.Drops() != 6 {
+		t.Fatalf("Drops = %d", tr.Drops())
 	}
 }
 
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
-	tr.Add(1, Suspend, "x") // must not panic
-	if tr.Events() != nil || tr.Dropped() != 0 || tr.Find(Suspend) != nil || tr.Count(Suspend) != 0 {
+	tr.Emitter(ScopeCluster, "").Emitf(1, Suspend, "x") // must not panic
+	if tr.Events() != nil || tr.Drops() != 0 || tr.Find(Suspend) != nil || tr.Count(Suspend) != 0 {
 		t.Fatal("nil trace not inert")
 	}
 }
 
 func TestCount(t *testing.T) {
 	tr := New(0)
-	tr.Add(1, RoundEnd, "")
-	tr.Add(2, RoundEnd, "")
-	tr.Add(3, Suspend, "")
+	tr.Emitter(ScopeCluster, "").Emitf(1, RoundEnd, "")
+	tr.Emitter(ScopeCluster, "").Emitf(2, RoundEnd, "")
+	tr.Emitter(ScopeCluster, "").Emitf(3, Suspend, "")
 	if tr.Count(RoundEnd) != 2 || tr.Count(Suspend) != 1 {
 		t.Fatal("count wrong")
 	}
@@ -62,9 +62,9 @@ func TestCount(t *testing.T) {
 
 func TestStringRendersAllEvents(t *testing.T) {
 	tr := New(2)
-	tr.Add(1, MigrationStart, "a")
-	tr.Add(2, Complete, "b")
-	tr.Add(3, Complete, "c")
+	tr.Emitter(ScopeCluster, "").Emitf(1, MigrationStart, "a")
+	tr.Emitter(ScopeCluster, "").Emitf(2, Complete, "b")
+	tr.Emitter(ScopeCluster, "").Emitf(3, Complete, "c")
 	out := tr.String()
 	if !strings.Contains(out, "complete") || !strings.Contains(out, "dropped") {
 		t.Fatalf("render missing pieces:\n%s", out)

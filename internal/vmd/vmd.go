@@ -335,7 +335,7 @@ func (s *Server) Crash() {
 	}
 	s.down = true
 	v := s.vmd
-	v.tr.Add(v.eng.NowSeconds(), trace.ServerCrash, "%s crashed (%d mem + %d disk pages lost)", s.name, s.used, s.diskUsed)
+	v.tr.Emitter(trace.ScopeCluster, "").Emitf(v.eng.NowSeconds(), trace.ServerCrash, "%s crashed (%d mem + %d disk pages lost)", s.name, s.used, s.diskUsed)
 	s.used = 0
 	s.diskUsed = 0
 	for _, ns := range v.namespaces {
@@ -352,7 +352,7 @@ func (s *Server) Restart() {
 	}
 	s.down = false
 	v := s.vmd
-	v.tr.Add(v.eng.NowSeconds(), trace.ServerRestart, "%s restarted (empty)", s.name)
+	v.tr.Emitter(trace.ScopeCluster, "").Emitf(v.eng.NowSeconds(), trace.ServerRestart, "%s restarted (empty)", s.name)
 	for _, ns := range v.namespaces {
 		ns.requeueUnderReplicated()
 	}
