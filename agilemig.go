@@ -60,8 +60,10 @@ const (
 // MigrationResult reports a completed migration in the paper's units.
 type MigrationResult = core.Result
 
-// MigrationTuning exposes the engine knobs (window, swap-in clustering,
-// pre-copy round limits) and the ablation switches.
+// MigrationTuning holds a migration's per-call switches: batched
+// transfers, auto-converge, scatter-gather prefetch, demand-retry timeouts,
+// a bandwidth cap, and the ablation switches. The zero value is the
+// paper's engine.
 type MigrationTuning = core.Tuning
 
 // Testbed is an assembled cluster: source and destination hosts, VMD

@@ -35,6 +35,14 @@ const (
 // GbpsBytes is 1 Gbps expressed in bytes per second.
 const GbpsBytes = int64(125_000_000)
 
+// netLatency is the one-way propagation latency of every testbed link, in
+// ticks. The hosts share one switched LAN, whose propagation delay is
+// negligible next to serialization at 1 Gbps.
+const netLatency sim.Duration = 0
+
+// metricsSampleSeconds is the sim-time sampling interval of Config.Metrics.
+const metricsSampleSeconds = 1
+
 // Config shapes the testbed. DefaultConfig matches the paper's hardware.
 type Config struct {
 	Seed            uint64
@@ -44,7 +52,6 @@ type Config struct {
 	// DestNetBytesPerSec overrides the destination host's NIC rate when
 	// non-zero (constrained-destination scenarios).
 	DestNetBytesPerSec   int64
-	NetLatency           sim.Duration
 	SSD                  blockdev.Config
 	SwapPartitionBytes   int64
 	Intermediates        int
@@ -74,12 +81,6 @@ type Config struct {
 	// message-loss windows. A nil or empty plan arms nothing — the run is
 	// byte-identical to one built without fault support at all.
 	Faults *sim.FaultPlan
-	// StrictVMD restores the historical panic on pool exhaustion instead
-	// of spilling to the writing host's local disk.
-	StrictVMD bool
-	// VMDFaultTimeoutSeconds overrides the VMD request timeout armed when
-	// Faults is non-empty (0 selects vmd.DefaultFaultTimeout).
-	VMDFaultTimeoutSeconds float64
 	// VMD selects the store's v2 mechanisms (batched transfers, readahead
 	// prefetch, tiering, consistent-hash placement). The zero value is the
 	// flat v1 store, byte-identical to builds without the field.
@@ -90,12 +91,9 @@ type Config struct {
 	// WSS convergence, and migration phases. Nil (the default) keeps every
 	// emitter on its zero-overhead path.
 	Trace *trace.Trace
-	// Metrics, when non-nil, collects host/VM/device gauges and counters;
-	// pair with MetricsSampleSeconds to record time series.
+	// Metrics, when non-nil, collects host/VM/device gauges and counters,
+	// sampled every metricsSampleSeconds into time series.
 	Metrics *metrics.Registry
-	// MetricsSampleSeconds is the sim-time sampling interval for Metrics
-	// (default 1 s when Metrics is set).
-	MetricsSampleSeconds float64
 }
 
 // DefaultConfig returns the §V testbed: 23 GB hosts (boot-limited), 200 MB
@@ -222,16 +220,13 @@ func newTestbed(eng *sim.Engine, cfg Config, cell string) *Testbed {
 	if cfg.Replicas > 1 {
 		tb.VMD.SetReplicas(cfg.Replicas)
 	}
-	if cfg.StrictVMD {
-		tb.VMD.SetStrict(true)
-	}
 	for i := 0; i < cfg.Intermediates; i++ {
 		name := tb.name(fmt.Sprintf("inter%d", i+1))
 		nic := net.NewNIC(name, cfg.NetBytesPerSec)
 		tb.VMD.AddServer(name, nic, int64(mem.BytesToPages(cfg.IntermediateRAMBytes)))
 	}
-	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), cfg.NetLatency))
-	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), cfg.NetLatency))
+	tb.Source.SetVMDClient(tb.VMD.NewClient(tb.Source.Name(), tb.Source.NIC(), netLatency))
+	tb.Dest.SetVMDClient(tb.VMD.NewClient(tb.Dest.Name(), tb.Dest.NIC(), netLatency))
 	if cfg.VMD.Tiers.Enabled {
 		// The compressed-RAM tier absorbs the migrated-to host's cold pages;
 		// bulk migration writes bypass it (their point is to leave the host).
@@ -242,7 +237,7 @@ func newTestbed(eng *sim.Engine, cfg Config, cell string) *Testbed {
 	tb.Source.VMDClient().AttachSpill(tb.Source.SwapDevice())
 	tb.Dest.VMDClient().AttachSpill(tb.Dest.SwapDevice())
 	if !cfg.Faults.Empty() {
-		tb.VMD.EnableFaultTolerance(cfg.VMDFaultTimeoutSeconds)
+		tb.VMD.EnableFaultTolerance(vmd.DefaultFaultTimeout)
 		lossSeed := cfg.Seed ^ 0x9e3779b97f4a7c15
 		if cell != "" {
 			lossSeed = sim.SeedForName(cfg.Seed, cell+"/loss")
@@ -251,11 +246,7 @@ func newTestbed(eng *sim.Engine, cfg Config, cell string) *Testbed {
 	}
 	if cfg.Metrics != nil {
 		net.RegisterMetrics(cfg.Metrics)
-		interval := cfg.MetricsSampleSeconds
-		if interval <= 0 {
-			interval = 1
-		}
-		cfg.Metrics.StartSampling(eng, interval)
+		cfg.Metrics.StartSampling(eng, metricsSampleSeconds)
 	}
 	return tb
 }
@@ -329,7 +320,7 @@ func (tb *Testbed) AddHost(name string, ramBytes, netBytesPerSec int64) *host.Ho
 	if tb.Cfg.Trace != nil || tb.Cfg.Metrics != nil {
 		h.SetObserver(tb.Cfg.Trace, tb.Cfg.Metrics)
 	}
-	h.SetVMDClient(tb.VMD.NewClient(name, h.NIC(), tb.Cfg.NetLatency))
+	h.SetVMDClient(tb.VMD.NewClient(name, h.NIC(), netLatency))
 	if tb.Cfg.VMD.Tiers.Enabled {
 		h.VMDClient().SetLocalTier(true)
 	}
@@ -450,8 +441,8 @@ func (h *VMHandle) LoadDataset(datasetBytes int64) *workload.KVStore {
 // the VM's dataset.
 func (h *VMHandle) AttachClient(cfg workload.ClientConfig, d dist.Dist) *workload.Client {
 	tb := h.tb
-	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), tb.Cfg.NetLatency)
-	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
+	h.srcFlows[0] = tb.Net.NewFlow("app:req:"+h.VM.Name(), tb.ClientNIC, tb.Source.NIC(), netLatency)
+	h.srcFlows[1] = tb.Net.NewFlow("app:resp:"+h.VM.Name(), tb.Source.NIC(), tb.ClientNIC, netLatency)
 	var rng *sim.RNG
 	if tb.cell == "" {
 		rng = tb.Eng.RNG().Split()
@@ -512,7 +503,7 @@ func (tb *Testbed) Migrate(h *VMHandle, tech core.Technique, dest *host.Host, de
 		DestReservationBytes: destReservationBytes,
 		DestBackend:          backend,
 		Namespace:            h.NS,
-		Latency:              tb.Cfg.NetLatency,
+		Latency:              netLatency,
 		Tuning:               tun,
 		Trace:                tb.Cfg.Trace,
 		Metrics:              tb.Cfg.Metrics,
@@ -522,8 +513,8 @@ func (tb *Testbed) Migrate(h *VMHandle, tech core.Technique, dest *host.Host, de
 				h.retargets++
 				req := fmt.Sprintf("app:req%d:%s", h.retargets+1, h.VM.Name())
 				resp := fmt.Sprintf("app:resp%d:%s", h.retargets+1, h.VM.Name())
-				h.dstFlows[0] = tb.Net.NewFlow(req, tb.ClientNIC, dest.NIC(), tb.Cfg.NetLatency)
-				h.dstFlows[1] = tb.Net.NewFlow(resp, dest.NIC(), tb.ClientNIC, tb.Cfg.NetLatency)
+				h.dstFlows[0] = tb.Net.NewFlow(req, tb.ClientNIC, dest.NIC(), netLatency)
+				h.dstFlows[1] = tb.Net.NewFlow(resp, dest.NIC(), tb.ClientNIC, netLatency)
 				h.Client.SetFlows(h.dstFlows[0], h.dstFlows[1])
 			}
 		},

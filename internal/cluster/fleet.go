@@ -38,15 +38,9 @@ type FleetConfig struct {
 	ReservationBytes     int64
 	IntermediateRAMBytes int64
 	NetBytesPerSec       int64
-	NetLatency           sim.Duration
 	SwapPartitionBytes   int64
 	SSD                  blockdev.Config
 
-	// ControlLatencySeconds is the one-way latency of the evacuation
-	// controller's links to the cells. It is also what bounds the
-	// kernel's lookahead (1 + latency ticks), so it sets the
-	// compute-per-barrier ratio of a parallel run.
-	ControlLatencySeconds float64
 	// StaggerSeconds separates consecutive cells' migration start commands
 	// (clamped to at least one tick).
 	StaggerSeconds float64
@@ -85,12 +79,13 @@ type FleetConfig struct {
 	// TraceCapacity bounds each cell's ring when Observe is set (0 selects
 	// trace.DefaultCapacity).
 	TraceCapacity int
-	// MetricsSampleSeconds is the per-cell sampling interval when Observe
-	// is set (default 1 s).
-	MetricsSampleSeconds float64
-
-	DisableFastForward bool
 }
+
+// controlLatencySeconds is the one-way latency of the evacuation
+// controller's links to the cells. It is also what bounds the kernel's
+// lookahead (1 + latency ticks), so it sets the compute-per-barrier ratio
+// of a parallel run.
+const controlLatencySeconds = 0.020
 
 // DefaultFleetConfig returns a 32-cell (64-host) evacuation sized so a
 // full run is minutes of simulated time: 64 MiB VMs with 48 MiB datasets
@@ -114,12 +109,11 @@ func DefaultFleetConfig() FleetConfig {
 			BytesPerSecond: 90 * MiB,
 			IOPS:           10_000,
 		},
-		ControlLatencySeconds: 0.020,
-		StaggerSeconds:        0.25,
-		WarmupSeconds:         30,
-		SettleSeconds:         5,
-		MaxOpsPerSecond:       2000,
-		WriteFraction:         0.05,
+		StaggerSeconds:  0.25,
+		WarmupSeconds:   30,
+		SettleSeconds:   5,
+		MaxOpsPerSecond: 2000,
+		WriteFraction:   0.05,
 	}
 }
 
@@ -189,18 +183,13 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		cfg.Shards = cfg.Cells
 	}
 	g := sim.NewShardGroup(cfg.Seed, cfg.Shards)
-	if cfg.DisableFastForward {
-		for i := 0; i < g.Shards(); i++ {
-			g.Engine(i).SetFastForward(false)
-		}
-	}
 	f := &Fleet{Cfg: cfg, Group: g}
 
 	// Control links in both directions for every shard, shard 0 included:
 	// self-links count toward the lookahead bound, so the window grid —
 	// and with it every barrier and drain point — is identical whether the
 	// fleet runs on one shard or many.
-	ctrlLat := g.Engine(0).SecondsToTicks(cfg.ControlLatencySeconds)
+	ctrlLat := g.Engine(0).SecondsToTicks(controlLatencySeconds)
 	if ctrlLat < 1 {
 		ctrlLat = 1
 	}
@@ -219,12 +208,10 @@ func NewFleet(cfg FleetConfig) *Fleet {
 			HostRAMBytes:         cfg.HostRAMBytes,
 			OSOverheadBytes:      cfg.OSOverheadBytes,
 			NetBytesPerSec:       cfg.NetBytesPerSec,
-			NetLatency:           cfg.NetLatency,
 			SSD:                  cfg.SSD,
 			SwapPartitionBytes:   cfg.SwapPartitionBytes,
 			Intermediates:        1,
 			IntermediateRAMBytes: cfg.IntermediateRAMBytes,
-			MetricsSampleSeconds: cfg.MetricsSampleSeconds,
 		}
 		tcfg.SSD.Name = name + "-" + cfg.SSD.Name
 		if cfg.Observe {

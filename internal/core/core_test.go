@@ -22,37 +22,6 @@ func TestTechniqueString(t *testing.T) {
 	}
 }
 
-func TestTuningDefaults(t *testing.T) {
-	d := Tuning{}.withDefaults()
-	if d.WindowBytes != 2<<20 || d.MaxSwapInFlight != 16 || d.PumpPagesPerTick != 4096 {
-		t.Fatalf("pump defaults wrong: %+v", d)
-	}
-	if d.PageHeaderBytes != 16 || d.RecordBytes != 16 || d.CPUStateBytes != 8<<20 {
-		t.Fatalf("wire defaults wrong: %+v", d)
-	}
-	if d.PreCopyMaxRounds != 30 || d.PreCopyStopPages != 7680 || d.DemandRequestBytes != 32 {
-		t.Fatalf("round defaults wrong: %+v", d)
-	}
-	if d.SwapInCluster != 8 {
-		t.Fatalf("readahead default wrong: %d", d.SwapInCluster)
-	}
-	if d.DisableActivePush || d.NoRemoteSwap {
-		t.Fatal("ablation flags must default off")
-	}
-}
-
-func TestTuningOverridesPreserved(t *testing.T) {
-	in := Tuning{WindowBytes: 1, MaxSwapInFlight: 2, PumpPagesPerTick: 3,
-		PageHeaderBytes: 4, RecordBytes: 5, CPUStateBytes: 6,
-		PreCopyMaxRounds: 7, PreCopyStopPages: 8, DemandRequestBytes: 9,
-		SwapInCluster: 10, AutoConverge: true, AutoConvergeStep: 0.5,
-		AutoConvergeFloor: 0.1, DisableActivePush: true, NoRemoteSwap: true,
-		MaxScatterInFlight: 11, GatherPrefetch: true}
-	if out := in.withDefaults(); out != in {
-		t.Fatalf("withDefaults clobbered overrides: %+v", out)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := &Result{Technique: Agile, VMName: "vm1", TotalSeconds: 12.5,
 		DowntimeSeconds: 0.25, BytesTransferred: 1_000_000, PagesSent: 240,

@@ -162,7 +162,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		eng:           eng,
 		net:           net,
 		spec:          spec,
-		tun:           spec.Tuning.withDefaults(),
+		tun:           spec.Tuning,
 		tech:          tech,
 		vm:            vm,
 		nPages:        vm.Pages(),
@@ -230,7 +230,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		m.pushBM = mem.NewBitmap(m.nPages)
 		m.pushBM.SetAll()
 		m.state = phasePush
-		m.pushFlow.SendMessage(m.tun.CPUStateBytes, m.switchover)
+		m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 	case Agile:
 		m.roundBM = mem.NewBitmap(m.nPages)
 		m.roundBM.SetAll()
@@ -353,9 +353,9 @@ func (m *Migration) NextWake(now sim.Time) (sim.Time, bool) {
 // pumpRound walks the current round's bitmap, respecting the send window
 // and the swap-in concurrency bound.
 func (m *Migration) pumpRound() {
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.roundBM.NextSet(m.cursor)
@@ -375,7 +375,7 @@ func (m *Migration) pumpRound() {
 			if st.OnSwap() {
 				// §II: swapped pages must be brought back into memory
 				// before they can be transferred.
-				if m.faultInFlight >= m.tun.MaxSwapInFlight {
+				if m.faultInFlight >= maxSwapInFlight {
 					m.roundBM.Set(p)
 					m.cursor = p
 					return
@@ -392,7 +392,7 @@ func (m *Migration) pumpRound() {
 			// swapped pages take the pre-copy path.
 			switch {
 			case st.OnSwap() && m.tun.NoRemoteSwap:
-				if m.faultInFlight >= m.tun.MaxSwapInFlight {
+				if m.faultInFlight >= maxSwapInFlight {
 					m.roundBM.Set(p)
 					m.cursor = p
 					return
@@ -431,9 +431,9 @@ func (m *Migration) pumpPush() {
 	if m.tun.DisableActivePush {
 		return // ablation: demand paging only; transfer time is unbounded
 	}
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.pushBM.NextSet(m.cursor)
@@ -446,7 +446,7 @@ func (m *Migration) pumpPush() {
 				m.event(trace.SourceDrained, "push set empty after %d pages", m.result.PagesSent)
 				m.beginResidualSpan()
 				// FIFO marker: when this arrives, every pushed page has.
-				m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
 				})
 				if m.tun.DemandRetrySeconds > 0 {
@@ -462,7 +462,7 @@ func (m *Migration) pumpPush() {
 		st := m.srcTable.State(p)
 		consumed := 1
 		if st.OnSwap() {
-			if m.faultInFlight >= m.tun.MaxSwapInFlight {
+			if m.faultInFlight >= maxSwapInFlight {
 				m.pushBM.Set(p)
 				m.cursor = p
 				return
@@ -520,7 +520,7 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 		return
 	}
 	pages := []mem.PageID{p}
-	for q := p + 1; int(q) < m.nPages && len(pages) < m.tun.SwapInCluster; q++ {
+	for q := p + 1; int(q) < m.nPages && len(pages) < swapInCluster; q++ {
 		if !bm.Test(q) || m.srcTable.State(q) != mem.StateSwapped {
 			break
 		}
@@ -588,7 +588,7 @@ func (m *Migration) sendFullPages(run []mem.PageID, freeAfter bool) {
 		bsp = m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
 			trace.Num("pages", float64(len(batch))))
 	}
-	m.pushFlow.SendMessage(mem.PagesToBytes(len(batch))+m.tun.PageHeaderBytes, func() {
+	m.pushFlow.SendMessage(mem.PagesToBytes(len(batch))+pageHeaderBytes, func() {
 		for _, q := range batch {
 			m.deliverFullPage(q)
 		}
@@ -606,7 +606,7 @@ func (m *Migration) sendFullPages(run []mem.PageID, freeAfter bool) {
 func (m *Migration) sendFullPage(p mem.PageID, freeAfter bool) {
 	m.result.PagesSent++
 	m.srcTable.ClearDirty(p)
-	m.pushFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, func() {
+	m.pushFlow.SendMessage(mem.PageSize+pageHeaderBytes, func() {
 		m.deliverFullPage(p)
 	})
 	if freeAfter {
@@ -620,7 +620,7 @@ func (m *Migration) sendOffsetRecord(p mem.PageID) {
 	m.offsetSent.Set(p)
 	m.srcTable.ClearDirty(p)
 	off := m.srcTable.SwapOffset(p)
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+	m.pushFlow.SendMessage(recordBytes, func() {
 		t := m.destTable
 		if t.State(p) == mem.StateUntouched {
 			// §IV-F: store the offset in the swap offset table and set the
@@ -634,7 +634,7 @@ func (m *Migration) sendOffsetRecord(p mem.PageID) {
 // sendUntouchedRecord tells the destination the page reads as zeros.
 func (m *Migration) sendUntouchedRecord(p mem.PageID) {
 	m.result.UntouchedRecords++
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+	m.pushFlow.SendMessage(recordBytes, func() {
 		m.knownUntouched.Set(p)
 	})
 }
@@ -694,7 +694,7 @@ func (m *Migration) requestFromSource(p mem.PageID, done func()) {
 		}
 		m.demandMeta[p] = dt
 	}
-	m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, func() {
+	m.ctrlFlow.SendMessage(demandRequestBytes, func() {
 		m.serveDemand(p, false)
 	})
 	if m.tun.DemandRetrySeconds > 0 {
@@ -716,7 +716,7 @@ func (m *Migration) armDemandRetry(p mem.PageID, delay float64, attempt int) {
 		if _, waiting := m.pendingDemand[p]; !waiting {
 			return
 		}
-		if attempt > m.tun.DemandRetryMax {
+		if attempt > demandRetryMax {
 			return // budget spent; the active push still covers the page
 		}
 		m.result.DemandRetries++
@@ -724,7 +724,7 @@ func (m *Migration) armDemandRetry(p mem.PageID, delay float64, attempt int) {
 		if dt, ok := m.demandMeta[p]; ok {
 			m.sp.SetAttr(dt.span, trace.Num("retries", float64(attempt)))
 		}
-		m.ctrlFlow.SendMessage(m.tun.DemandRequestBytes, func() {
+		m.ctrlFlow.SendMessage(demandRequestBytes, func() {
 			m.serveDemand(p, true)
 		})
 		next := delay * 2
@@ -783,7 +783,7 @@ func (m *Migration) respondDemand(p mem.PageID) {
 	m.result.PagesDemandServed++
 	m.srcTable.ClearDirty(p)
 	m.outstandingDemand++
-	m.demandFlow.SendMessage(mem.PageSize+m.tun.PageHeaderBytes, func() {
+	m.demandFlow.SendMessage(mem.PageSize+pageHeaderBytes, func() {
 		m.deliverFullPage(p)
 		m.outstandingDemand--
 		m.maybeComplete()

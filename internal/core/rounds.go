@@ -29,7 +29,7 @@ func (m *Migration) endPreCopyRound() {
 			m.phaseSpan = 0
 			m.cpuSpan = m.sp.Begin(now, "cpu-state", m.stopSpan)
 		}
-		m.pushFlow.SendMessage(m.tun.CPUStateBytes, m.switchover)
+		m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 		return
 	}
 	// §II: iterate until converging on the writable working set.
@@ -43,7 +43,7 @@ func (m *Migration) endPreCopyRound() {
 	m.result.Rounds++
 	m.srcTable.CollectDirty(m.roundBM)
 	m.cursor = 0
-	if remaining <= m.tun.PreCopyStopPages || m.round > m.tun.PreCopyMaxRounds {
+	if remaining <= preCopyStopPages || m.round > preCopyMaxRounds {
 		// Converged (or gave up): suspend and send the rest. The stopped
 		// window opens here; the CPU-state span waits until the final scan
 		// finishes, so the stop-and-copy scan is its own child span.
@@ -63,9 +63,9 @@ func (m *Migration) endPreCopyRound() {
 	if m.tun.AutoConverge && remaining >= m.prevRemaining && m.prevRemaining > 0 {
 		// The dirty set is not shrinking: throttle the vCPUs so the next
 		// round outruns the writes (QEMU auto-converge / SDPS).
-		q := m.vm.CPUQuota() * m.tun.AutoConvergeStep
-		if q < m.tun.AutoConvergeFloor {
-			q = m.tun.AutoConvergeFloor
+		q := m.vm.CPUQuota() * autoConvergeStep
+		if q < autoConvergeFloor {
+			q = autoConvergeFloor
 		}
 		m.vm.SetCPUQuota(q)
 		m.result.ThrottleEvents++
@@ -104,7 +104,7 @@ func (m *Migration) endAgileRound() {
 	m.cursor = 0
 	m.state = phasePush
 	m.event(trace.CPUStateSent, "with dirty bitmap; %d pages to push", m.pushBM.Count())
-	cpu := m.tun.CPUStateBytes + int64(m.nPages/8) // dirty bitmap rides along
+	cpu := cpuStateBytes + int64(m.nPages/8) // dirty bitmap rides along
 	m.pushFlow.SendMessage(cpu, m.switchover)
 }
 

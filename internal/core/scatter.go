@@ -34,7 +34,7 @@ func (m *Migration) startScatterGather() {
 	m.pushBM.SetAll()
 	m.knownUntouched = mem.NewBitmap(m.nPages)
 	m.state = phasePush
-	m.pushFlow.SendMessage(m.tun.CPUStateBytes, m.switchover)
+	m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 }
 
 // pumpScatter walks the remaining pages, scattering resident ones to the
@@ -43,12 +43,12 @@ func (m *Migration) pumpScatter() {
 	// Scattering starts immediately — it needs no destination involvement,
 	// and the records queue behind the CPU-state message on the FIFO
 	// stream, so they cannot arrive before the namespace attaches.
-	budget := m.tun.PumpPagesPerTick
+	budget := pumpPagesPerTick
 	for budget > 0 {
-		if m.scatterInFlight >= m.tun.MaxScatterInFlight {
+		if m.scatterInFlight >= maxScatterInFlight {
 			return
 		}
-		if m.pushFlow.Backlog() >= m.tun.WindowBytes {
+		if m.pushFlow.Backlog() >= windowBytes {
 			return
 		}
 		p := m.pushBM.NextSet(m.cursor)
@@ -66,7 +66,7 @@ func (m *Migration) pumpScatter() {
 				m.srcDrained = true
 				m.event(trace.SourceDrained, "scatter complete after %d pages", m.result.PagesScattered)
 				m.beginResidualSpan()
-				m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
 				})
 			}
@@ -172,7 +172,7 @@ func (m *Migration) scatterPage(p mem.PageID) {
 // resolve faults already waiting on the page.
 func (m *Migration) sendScatterRecord(p mem.PageID, off uint32) {
 	m.result.OffsetRecords++
-	m.pushFlow.SendMessage(m.tun.RecordBytes, func() {
+	m.pushFlow.SendMessage(recordBytes, func() {
 		m.deliverScatterRecord(p, off)
 	})
 }
@@ -181,7 +181,7 @@ func (m *Migration) sendScatterRecord(p mem.PageID, off uint32) {
 // a single message (the records share the wire like the page bodies did).
 func (m *Migration) sendScatterRecords(run []mem.PageID) {
 	m.result.OffsetRecords += int64(len(run))
-	m.pushFlow.SendMessage(int64(len(run))*m.tun.RecordBytes, func() {
+	m.pushFlow.SendMessage(int64(len(run))*recordBytes, func() {
 		for _, p := range run {
 			m.deliverScatterRecord(p, uint32(p))
 		}
@@ -230,7 +230,7 @@ func (m *Migration) startGatherPrefetch() {
 	// engine may skip; fault completions and reclaim run off their own
 	// wakes.
 	hint := func(now sim.Time) (sim.Time, bool) {
-		if done || inFlight >= m.tun.MaxSwapInFlight ||
+		if done || inFlight >= maxSwapInFlight ||
 			mem.BytesToPages(m.destGroup.ReservationBytes()) <= m.destTable.InRAM() {
 			return sim.Never, true
 		}
@@ -241,10 +241,10 @@ func (m *Migration) startGatherPrefetch() {
 			return
 		}
 		headroom := mem.BytesToPages(m.destGroup.ReservationBytes()) - m.destTable.InRAM()
-		for inFlight < m.tun.MaxSwapInFlight && headroom > 0 {
+		for inFlight < maxSwapInFlight && headroom > 0 {
 			// Collect the next cluster of swapped pages.
 			var batch []mem.PageID
-			for p := cursor; int(p) < m.nPages && len(batch) < m.tun.SwapInCluster; p++ {
+			for p := cursor; int(p) < m.nPages && len(batch) < swapInCluster; p++ {
 				cursor = p + 1
 				if m.destTable.State(p) == mem.StateSwapped {
 					batch = append(batch, p)

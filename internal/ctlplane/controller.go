@@ -98,7 +98,7 @@ func (c *Controller) Done() bool {
 
 // Counts tallies objects per phase.
 type Counts struct {
-	Pending, Scheduling, Running     int
+	Pending, Scheduling, Running      int
 	Succeeded, Failed, Aborted, Total int
 }
 

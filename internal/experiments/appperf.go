@@ -35,11 +35,12 @@ type AppPerfConfig struct {
 	Technique core.Technique
 	Scale     float64
 	Seed      uint64
-	// MeasureSeconds is the measurement window from migration start
-	// (§V-C uses 300 s); the window extends to the migration's end if the
-	// migration takes longer.
-	MeasureSeconds float64
 }
+
+// appPerfMeasureSeconds is the measurement window from migration start
+// (§V-C uses 300 s); the window extends to the migration's end if the
+// migration takes longer.
+const appPerfMeasureSeconds = 300
 
 // AppPerfResult is one workload×technique measurement.
 type AppPerfResult struct {
@@ -66,9 +67,6 @@ func RunAppPerf(cfg AppPerfConfig) *AppPerfResult {
 	s := cfg.Scale
 	if s <= 0 {
 		s = 1
-	}
-	if cfg.MeasureSeconds == 0 {
-		cfg.MeasureSeconds = 300
 	}
 	agile := cfg.Technique == core.Agile
 
@@ -119,7 +117,7 @@ func RunAppPerf(cfg AppPerfConfig) *AppPerfResult {
 	// Rebalance as the cluster manager would, then keep measuring until
 	// the window closes.
 	tb.RebalanceSource(destResv)
-	window := scaleSeconds(cfg.MeasureSeconds, s)
+	window := scaleSeconds(appPerfMeasureSeconds, s)
 	elapsed := tb.Eng.NowSeconds() - startT
 	if elapsed < window {
 		tb.RunSeconds(window - elapsed)

@@ -28,11 +28,6 @@ type DrainOptions struct {
 	// MaxConcurrent bounds simultaneously running migrations (default 4 —
 	// the drain genuinely shares NICs and VMD bandwidth).
 	MaxConcurrent int
-	// SLOp99Seconds is the application p99 latency bound the drain is
-	// judged against (default 0.5 s).
-	SLOp99Seconds float64
-	// MaxSeconds bounds the drain phase in simulated time.
-	MaxSeconds float64
 
 	// RackCells sizes the rack-evacuation phase (0 skips it; the agilesim
 	// default is the full 32-cell rack).
@@ -51,8 +46,6 @@ func DefaultDrainOptions() DrainOptions {
 		Scale:         1,
 		Seed:          1,
 		MaxConcurrent: 4,
-		SLOp99Seconds: 0.5,
-		MaxSeconds:    4000,
 		RackCells:     32,
 		RackShards:    1,
 	}
@@ -60,10 +53,10 @@ func DefaultDrainOptions() DrainOptions {
 
 // DrainMigRow is one control-plane migration's outcome.
 type DrainMigRow struct {
-	VM      string
-	Dest    string
-	Phase   string
-	Reason  string
+	VM                string
+	Dest              string
+	Phase             string
+	Reason            string
 	StartedAtSeconds  float64
 	FinishedAtSeconds float64
 	DowntimeSeconds   float64
@@ -108,6 +101,13 @@ type DrainReport struct {
 // drainVMs is the number of VMs evacuated from the loaded host.
 const drainVMs = 6
 
+// drainSLOp99Seconds is the application p99 latency bound the drain is
+// judged against.
+const drainSLOp99Seconds = 0.5
+
+// drainMaxSeconds bounds the drain phase in simulated time.
+const drainMaxSeconds = 4000
+
 // RunDrain runs the host-drain comparison across both placement policies,
 // then the faulted rack evacuation. Everything runs on simulated time;
 // output is byte-identical at any Shards value and GOMAXPROCS.
@@ -118,13 +118,7 @@ func RunDrain(opt DrainOptions) DrainReport {
 	if opt.MaxConcurrent <= 0 {
 		opt.MaxConcurrent = 4
 	}
-	if opt.SLOp99Seconds <= 0 {
-		opt.SLOp99Seconds = 0.5
-	}
-	if opt.MaxSeconds <= 0 {
-		opt.MaxSeconds = 4000
-	}
-	rep := DrainReport{SLOp99Seconds: opt.SLOp99Seconds}
+	rep := DrainReport{SLOp99Seconds: drainSLOp99Seconds}
 	policies := []ctlplane.PlacementPolicy{
 		ctlplane.GreedyFreeRAM{},
 		ctlplane.DestinationSwap{},
@@ -215,7 +209,7 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 			TimeoutSeconds:          scaleSeconds(1500, opt.Scale),
 		})
 	}
-	deadline := drainStart + opt.MaxSeconds
+	deadline := drainStart + drainMaxSeconds
 	for !ctl.Done() && tb.Eng.NowSeconds() < deadline {
 		tb.RunSeconds(1)
 	}
@@ -253,7 +247,7 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 	for _, hostName := range detorder.Keys(spread) {
 		res.Spread = append(res.Spread, DrainSpread{Host: hostName, VMs: spread[hostName]})
 	}
-	res.SLOMet = res.Counts.Succeeded == res.Counts.Total && res.MaxP99Seconds < opt.SLOp99Seconds
+	res.SLOMet = res.Counts.Succeeded == res.Counts.Total && res.MaxP99Seconds < drainSLOp99Seconds
 	return res
 }
 
@@ -283,7 +277,7 @@ func runDrainRack(opt DrainOptions) FleetReport {
 		cfg.FaultCells = []int{1}
 	}
 	f := cluster.NewFleet(cfg)
-	res := f.RunEvacuation(600)
+	res := f.RunEvacuation(fleetMaxSeconds)
 	return FleetReport{
 		Rows:       f.Rows(),
 		Result:     res,

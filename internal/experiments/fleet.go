@@ -19,24 +19,22 @@ type FleetOptions struct {
 	Shards int
 	Seed   uint64
 	Scale  float64
-	// MaxSeconds bounds the run in simulated time (default 600).
-	MaxSeconds float64
 	// Observe attaches per-cell trace/metrics sinks (required for the
 	// -trace-jsonl / -metrics-out outputs).
 	Observe       bool
 	TraceCapacity int
-
-	DisableFastForward bool
 }
+
+// fleetMaxSeconds bounds the fleet run in simulated time.
+const fleetMaxSeconds = 600
 
 // DefaultFleetOptions mirrors cluster.DefaultFleetConfig at scale 1.
 func DefaultFleetOptions() FleetOptions {
 	return FleetOptions{
-		Cells:      32,
-		Shards:     1,
-		Seed:       1,
-		Scale:      1,
-		MaxSeconds: 600,
+		Cells:  32,
+		Shards: 1,
+		Seed:   1,
+		Scale:  1,
 	}
 }
 
@@ -56,9 +54,6 @@ func RunFleet(opt FleetOptions) FleetReport {
 	if opt.Scale <= 0 {
 		opt.Scale = 1
 	}
-	if opt.MaxSeconds <= 0 {
-		opt.MaxSeconds = 600
-	}
 	cfg := cluster.DefaultFleetConfig()
 	if opt.Cells > 0 {
 		cfg.Cells = opt.Cells
@@ -75,10 +70,9 @@ func RunFleet(opt FleetOptions) FleetReport {
 	cfg.WarmupSeconds = scaleSeconds(cfg.WarmupSeconds, opt.Scale)
 	cfg.Observe = opt.Observe
 	cfg.TraceCapacity = opt.TraceCapacity
-	cfg.DisableFastForward = opt.DisableFastForward
 
 	f := cluster.NewFleet(cfg)
-	res := f.RunEvacuation(opt.MaxSeconds)
+	res := f.RunEvacuation(fleetMaxSeconds)
 	return FleetReport{
 		Rows:       f.Rows(),
 		Result:     res,

@@ -23,16 +23,21 @@ type PressureConfig struct {
 	// SettleSeconds is the post-load warmup before t=0 (unscaled input;
 	// scaled internally).
 	SettleSeconds float64
-	// RampStart / RampStagger / MigrateAt / Duration are the paper's
-	// 150 s / 50 s / 400 s / ~1000 s timeline (scaled internally).
-	RampStart   float64
-	RampStagger float64
-	MigrateAt   float64
-	Duration    float64
+	// MigrateAt / Duration are the paper's 400 s / ~1000 s timeline
+	// (scaled internally).
+	MigrateAt float64
+	Duration  float64
 
 	// DisableFastForward steps tick by tick (see cluster.Config).
 	DisableFastForward bool
 }
+
+// The paper's ramp: at 150 s each client starts widening its queried
+// fraction, one VM every 50 s (scaled internally).
+const (
+	pressureRampStart   = 150
+	pressureRampStagger = 50
+)
 
 // DefaultPressureConfig returns the paper's timeline for a technique.
 func DefaultPressureConfig(tech core.Technique) PressureConfig {
@@ -41,8 +46,6 @@ func DefaultPressureConfig(tech core.Technique) PressureConfig {
 		Scale:         1.0,
 		Seed:          1,
 		SettleSeconds: 250,
-		RampStart:     150,
-		RampStagger:   50,
 		MigrateAt:     400,
 		Duration:      1600, // past the paper's ~1000 s so pre-copy's late recovery is visible
 	}
@@ -150,10 +153,10 @@ func RunPressureTimeline(cfg PressureConfig) *PressureResult {
 	tb.RunSeconds(scaleSeconds(cfg.SettleSeconds, s))
 	t0 := tb.Eng.NowSeconds()
 
-	// The ramp: at RampStart (+ stagger per VM) each client widens its
-	// queried fraction to 6 GB.
-	rampStart := scaleSeconds(cfg.RampStart, s)
-	stagger := scaleSeconds(cfg.RampStagger, s)
+	// The ramp: at pressureRampStart (+ stagger per VM) each client widens
+	// its queried fraction to 6 GB.
+	rampStart := scaleSeconds(pressureRampStart, s)
+	stagger := scaleSeconds(pressureRampStagger, s)
 	for i, h := range handles {
 		h := h
 		at := rampStart + float64(i)*stagger

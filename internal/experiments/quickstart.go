@@ -29,8 +29,6 @@ type QuickstartConfig struct {
 	// picks Agile).
 	ObserveTechnique core.Technique
 
-	DisableFastForward bool
-
 	// Shards selects the parallel kernel width for each technique's testbed
 	// (0/1 = serial engine). Results are byte-identical at any value — the
 	// golden shard-equivalence tests diff exactly this knob.
@@ -83,7 +81,6 @@ func RunQuickstart(cfg QuickstartConfig) []QuickstartResult {
 		ccfg.Seed = cfg.Seed
 		ccfg.HostRAMBytes = scaleBytes(6*cluster.GiB, cfg.Scale)
 		ccfg.IntermediateRAMBytes = scaleBytes(16*cluster.GiB, cfg.Scale)
-		ccfg.DisableFastForward = cfg.DisableFastForward
 		ccfg.Shards = cfg.Shards
 		ccfg.Faults = cfg.Faults
 		ccfg.Replicas = cfg.Replicas

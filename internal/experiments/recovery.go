@@ -26,20 +26,6 @@ type RecoveryConfig struct {
 	// Intermediates is the VMD server count (default 3; must be >= 2 so a
 	// crash leaves failover targets).
 	Intermediates int
-	// IntermediateMiBPerReplica sizes each server's pool as K times this
-	// many MiB (scaled): K=1 runs tight enough that losing a server
-	// exhausts the survivors, K=2 keeps headroom for full replication.
-	IntermediateMiBPerReplica int64
-	// CrashAfterSeconds (scaled) is how long after the migration starts
-	// the crash fires; DownForSeconds (scaled) is how long the server
-	// stays down before rejoining empty.
-	CrashAfterSeconds float64
-	DownForSeconds    float64
-	// LossRate/LossSeconds open a message-loss window on the source NIC
-	// the moment the migration switches over, so post-switchover demand
-	// paging exercises the timeout/retry path on top of the crash.
-	LossRate    float64
-	LossSeconds float64
 	// Shards selects the parallel kernel width (0/1 = serial engine);
 	// results are byte-identical at any value.
 	Shards int
@@ -48,19 +34,33 @@ type RecoveryConfig struct {
 	VMD vmd.StoreConfig
 }
 
+// The recovery scenario's fixed parameters.
+const (
+	// recoveryMiBPerReplica sizes each server's pool as K times this many
+	// MiB (scaled): K=1 runs tight enough that losing a server exhausts
+	// the survivors, K=2 keeps headroom for full replication.
+	recoveryMiBPerReplica = 320
+	// recoveryCrashAfterSeconds (scaled) is how long after the migration
+	// starts the crash fires; recoveryDownForSeconds (scaled) is how long
+	// the server stays down before rejoining empty.
+	recoveryCrashAfterSeconds = 5
+	recoveryDownForSeconds    = 60
+	// recoveryLossRate/recoveryLossSeconds open a message-loss window on
+	// the source NIC the moment the migration switches over, so
+	// post-switchover demand paging exercises the timeout/retry path on
+	// top of the crash.
+	recoveryLossRate    = 0.3
+	recoveryLossSeconds = 10
+)
+
 // DefaultRecoveryConfig returns the scenario used by the `recovery`
 // experiment id and the headline numbers in EXPERIMENTS.md.
 func DefaultRecoveryConfig() RecoveryConfig {
 	return RecoveryConfig{
-		Scale:                     1,
-		Seed:                      1,
-		ReplicaFactors:            []int{1, 2},
-		Intermediates:             3,
-		IntermediateMiBPerReplica: 320,
-		CrashAfterSeconds:         5,
-		DownForSeconds:            60,
-		LossRate:                  0.3,
-		LossSeconds:               10,
+		Scale:          1,
+		Seed:           1,
+		ReplicaFactors: []int{1, 2},
+		Intermediates:  3,
 	}
 }
 
@@ -97,29 +97,14 @@ func RunRecovery(cfg RecoveryConfig) []RecoveryResult {
 	if cfg.Intermediates < 2 {
 		cfg.Intermediates = 3
 	}
-	if cfg.IntermediateMiBPerReplica <= 0 {
-		cfg.IntermediateMiBPerReplica = 448
-	}
-	if cfg.CrashAfterSeconds <= 0 {
-		cfg.CrashAfterSeconds = 5
-	}
-	if cfg.DownForSeconds <= 0 {
-		cfg.DownForSeconds = 60
-	}
-	if cfg.LossRate < 0 || cfg.LossRate > 1 {
-		cfg.LossRate = 0.3
-	}
-	if cfg.LossSeconds <= 0 {
-		cfg.LossSeconds = 10
-	}
 
 	// scaleSeconds floors at 1 s (phase durations must not vanish), but the
 	// crash and loss offsets are relative to a migration whose length
 	// shrinks with scale — those must scale raw or they miss the window.
 	raw := func(s float64) float64 { return s * cfg.Scale }
 	warmup := scaleSeconds(120, cfg.Scale)
-	crashAt := warmup + raw(cfg.CrashAfterSeconds)
-	downFor := scaleSeconds(cfg.DownForSeconds, cfg.Scale)
+	crashAt := warmup + raw(recoveryCrashAfterSeconds)
+	downFor := scaleSeconds(recoveryDownForSeconds, cfg.Scale)
 	const victim = "inter1"
 
 	var out []RecoveryResult
@@ -128,7 +113,7 @@ func RunRecovery(cfg RecoveryConfig) []RecoveryResult {
 		ccfg.Seed = cfg.Seed
 		ccfg.HostRAMBytes = scaleBytes(6*cluster.GiB, cfg.Scale)
 		ccfg.Intermediates = cfg.Intermediates
-		ccfg.IntermediateRAMBytes = scaleBytes(int64(k)*cfg.IntermediateMiBPerReplica*cluster.MiB, cfg.Scale)
+		ccfg.IntermediateRAMBytes = scaleBytes(int64(k)*recoveryMiBPerReplica*cluster.MiB, cfg.Scale)
 		ccfg.Replicas = k
 		ccfg.Shards = cfg.Shards
 		ccfg.VMD = cfg.VMD
@@ -150,18 +135,16 @@ func RunRecovery(cfg RecoveryConfig) []RecoveryResult {
 		// dropped, so the destination's timeout/retry path has to carry
 		// the migration tail. (The window opens only after switchover —
 		// the one-shot CPU-state handoff is not retried.)
-		if cfg.LossRate > 0 {
-			step := raw(0.1)
-			for i := 0; i < 8000 && !h.Migration.Switched() && !h.Migration.Done(); i++ {
-				tb.RunSeconds(step)
-			}
-			if h.Migration.Switched() && !h.Migration.Done() {
-				nic := tb.Net.NICByName("source")
-				nic.SetLossRate(cfg.LossRate, cfg.Seed^0x5851f42d4c957f2d)
-				tb.Eng.AfterSeconds(raw(cfg.LossSeconds), func() {
-					nic.SetLossRate(0, 0)
-				})
-			}
+		step := raw(0.1)
+		for i := 0; i < 8000 && !h.Migration.Switched() && !h.Migration.Done(); i++ {
+			tb.RunSeconds(step)
+		}
+		if h.Migration.Switched() && !h.Migration.Done() {
+			nic := tb.Net.NICByName("source")
+			nic.SetLossRate(recoveryLossRate, cfg.Seed^0x5851f42d4c957f2d)
+			tb.Eng.AfterSeconds(raw(recoveryLossSeconds), func() {
+				nic.SetLossRate(0, 0)
+			})
 		}
 		if tb.RunUntilMigrated(h, 4000) != cluster.OutcomeCompleted {
 			panic(fmt.Sprintf("experiments: recovery migration wedged at K=%d", k))

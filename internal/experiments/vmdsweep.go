@@ -68,16 +68,15 @@ type vmdSweepVariant struct {
 // previous ones so the deltas read as incremental wins.
 func vmdSweepVariants(cfg VMDSweepConfig, ctierCap int64) []vmdSweepVariant {
 	b := cfg.BatchPages
-	readahead := vmd.ReadaheadConfig{Enabled: true}
 	tiers := vmd.TierConfig{Enabled: true, CompressedCapPages: ctierCap}
 	batched := core.Tuning{BatchPages: b}
 	return []vmdSweepVariant{
 		{name: "v1 flat"},
 		{name: "+batch", store: vmd.StoreConfig{BatchPages: b}, tun: batched},
-		{name: "+prefetch", store: vmd.StoreConfig{BatchPages: b, Readahead: readahead}, tun: batched},
-		{name: "+ctier", store: vmd.StoreConfig{BatchPages: b, Readahead: readahead, Tiers: tiers}, tun: batched},
+		{name: "+prefetch", store: vmd.StoreConfig{BatchPages: b, Readahead: true}, tun: batched},
+		{name: "+ctier", store: vmd.StoreConfig{BatchPages: b, Readahead: true, Tiers: tiers}, tun: batched},
 		{name: "+hash", store: vmd.StoreConfig{
-			BatchPages: b, Readahead: readahead, Tiers: tiers,
+			BatchPages: b, Readahead: true, Tiers: tiers,
 			Placement: vmd.PlaceHash, RebalanceBytesPerSec: 64 * cluster.MiB,
 		}, tun: batched},
 	}

@@ -104,10 +104,12 @@ func pressureSection(w io.Writer, opt Options) {
 	ok := rows[2].mig > 0 && rows[1].mig > 0 && rows[0].mig > 0 &&
 		rows[2].mig < rows[1].mig && rows[1].mig < rows[0].mig
 	fmt.Fprintf(w, "* Migration-time ordering agile < post < pre: %s\n",
-		check(ok, fmt.Sprintf("%.1f / %.1f / %.1f s", rows[2].mig, rows[1].mig, rows[0].mig)))
+		check(ok, fmt.Sprintf("%s / %s / %s s (×%.0f)", scaled(rows[2].mig, opt.Scale),
+			scaled(rows[1].mig, opt.Scale), scaled(rows[0].mig, opt.Scale), 1/opt.Scale)))
 	okRec := rows[2].rec > 0 && (rows[1].rec <= 0 || rows[2].rec < rows[1].rec)
 	fmt.Fprintf(w, "* Agile recovers first: %s\n\n",
-		check(okRec, fmt.Sprintf("agile %.1f s vs post %.1f s", rows[2].rec, rows[1].rec)))
+		check(okRec, fmt.Sprintf("agile %s s vs post %s s (×%.0f)",
+			scaled(rows[2].rec, opt.Scale), scaled(rows[1].rec, opt.Scale), 1/opt.Scale)))
 }
 
 func sweepSection(w io.Writer, opt Options) {
@@ -201,26 +203,31 @@ func tablesSection(w io.Writer, opt Options) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
-	// Shape checks on the cells.
+	// Shape checks on the cells, in the table's units.
 	y := func(t core.Technique) *experiments.AppPerfResult { return cell(experiments.WorkloadYCSB, t) }
 	s := func(t core.Technique) *experiments.AppPerfResult { return cell(experiments.WorkloadSysbench, t) }
+	ops := func(r *experiments.AppPerfResult) float64 { return r.AvgOpsPerSec }
+	secs := func(r *experiments.AppPerfResult) float64 { return r.Migration.TotalSeconds / opt.Scale }
+	mb := func(r *experiments.AppPerfResult) float64 {
+		return float64(r.Migration.BytesTransferred) / 1e6 / opt.Scale
+	}
+	// rowDetail prints one table row as "agile / post / pre".
+	rowDetail := func(at func(core.Technique) *experiments.AppPerfResult, v func(*experiments.AppPerfResult) float64) string {
+		return fmt.Sprintf("%.1f / %.1f / %.1f", v(at(core.Agile)), v(at(core.PostCopy)), v(at(core.PreCopy)))
+	}
 	fmt.Fprintf(w, "* Table I: Agile best for both workloads: %s\n", check(
-		y(core.Agile).AvgOpsPerSec >= y(core.PostCopy).AvgOpsPerSec &&
-			y(core.Agile).AvgOpsPerSec >= y(core.PreCopy).AvgOpsPerSec &&
-			s(core.Agile).AvgOpsPerSec >= s(core.PostCopy).AvgOpsPerSec &&
-			s(core.Agile).AvgOpsPerSec >= s(core.PreCopy).AvgOpsPerSec,
-		"agile top in both rows"))
+		ops(y(core.Agile)) >= ops(y(core.PostCopy)) && ops(y(core.Agile)) >= ops(y(core.PreCopy)) &&
+			ops(s(core.Agile)) >= ops(s(core.PostCopy)) && ops(s(core.Agile)) >= ops(s(core.PreCopy)),
+		fmt.Sprintf("agile / post / pre: ycsb %s ops/s; sysbench %s trans/s",
+			rowDetail(y, ops), rowDetail(s, ops))))
 	fmt.Fprintf(w, "* Table II: Agile fastest, pre-copy slowest for YCSB: %s\n", check(
-		y(core.Agile).Migration.TotalSeconds < y(core.PostCopy).Migration.TotalSeconds &&
-			y(core.PostCopy).Migration.TotalSeconds < y(core.PreCopy).Migration.TotalSeconds,
-		fmt.Sprintf("%.1f < %.1f < %.1f s", y(core.Agile).Migration.TotalSeconds,
-			y(core.PostCopy).Migration.TotalSeconds, y(core.PreCopy).Migration.TotalSeconds)))
+		secs(y(core.Agile)) < secs(y(core.PostCopy)) && secs(y(core.PostCopy)) < secs(y(core.PreCopy)),
+		fmt.Sprintf("agile / post / pre: %s s (×%.0f)", rowDetail(y, secs), 1/opt.Scale)))
 	fmt.Fprintf(w, "* Table III: Agile transfers least in both rows: %s\n\n", check(
-		y(core.Agile).Migration.BytesTransferred < y(core.PostCopy).Migration.BytesTransferred &&
-			y(core.Agile).Migration.BytesTransferred < y(core.PreCopy).Migration.BytesTransferred &&
-			s(core.Agile).Migration.BytesTransferred < s(core.PostCopy).Migration.BytesTransferred &&
-			s(core.Agile).Migration.BytesTransferred < s(core.PreCopy).Migration.BytesTransferred,
-		"agile minimum in both rows"))
+		mb(y(core.Agile)) < mb(y(core.PostCopy)) && mb(y(core.Agile)) < mb(y(core.PreCopy)) &&
+			mb(s(core.Agile)) < mb(s(core.PostCopy)) && mb(s(core.Agile)) < mb(s(core.PreCopy)),
+		fmt.Sprintf("agile / post / pre: ycsb %s MB; sysbench %s MB (×%.0f)",
+			rowDetail(y, mb), rowDetail(s, mb), 1/opt.Scale)))
 }
 
 func wssSection(w io.Writer, opt Options) {
@@ -256,10 +263,12 @@ func ablationSection(w io.Writer, opt Options) {
 		placement.BlindRetries > placement.LoadAwareRetries,
 		fmt.Sprintf("load-aware %d vs blind %d retries", placement.LoadAwareRetries, placement.BlindRetries)))
 	auto := experiments.RunAblationAutoConverge(opt.Scale, opt.Seed, opt.Parallelism)
+	converged := auto.ThrottledSeconds < auto.BaselineSeconds || auto.ThrottledRounds < auto.BaselineRounds
 	fmt.Fprintf(w, "* Auto-converge (SDPS) trades throughput for convergence (§VI): %s\n", check(
-		auto.ThrottleEvents > 0 && auto.ThrottledOpsRate < auto.BaselineOpsRate,
-		fmt.Sprintf("%.0f → %.0f ops/s during migration; %d → %d rounds",
-			auto.BaselineOpsRate, auto.ThrottledOpsRate, auto.BaselineRounds, auto.ThrottledRounds)))
+		auto.ThrottleEvents > 0 && auto.ThrottledOpsRate < auto.BaselineOpsRate && converged,
+		fmt.Sprintf("%.0f → %.0f ops/s during migration; %.1f → %.1f s, %d → %d rounds",
+			auto.BaselineOpsRate, auto.ThrottledOpsRate, auto.BaselineSeconds, auto.ThrottledSeconds,
+			auto.BaselineRounds, auto.ThrottledRounds)))
 	evict := experiments.RunScatterEviction(opt.Scale, opt.Seed)
 	var sg, ag float64
 	for _, r := range evict {

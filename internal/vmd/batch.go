@@ -341,7 +341,7 @@ func (ns *Namespace) ReadBatch(c *Client, offs []uint32, fn func()) {
 		}
 	})
 	var pf *prefetcher
-	if ns.vmd.store.Readahead.Enabled {
+	if ns.vmd.store.Readahead {
 		pf = ns.prefFor(c)
 	}
 	maxRun := ns.BatchPages()

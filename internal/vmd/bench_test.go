@@ -42,7 +42,7 @@ func BenchmarkVMDDemandRead(b *testing.B) {
 		{"flat", StoreConfig{}},
 		{"readahead", StoreConfig{
 			BatchPages: 32,
-			Readahead:  ReadaheadConfig{Enabled: true},
+			Readahead:  true,
 		}},
 	}
 	for _, v := range variants {

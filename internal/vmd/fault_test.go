@@ -247,21 +247,6 @@ func TestAllServersFullSpillWithoutLivelock(t *testing.T) {
 	}
 }
 
-func TestStrictModePanicsOnExhaustion(t *testing.T) {
-	r := newFaultRig(t, 1, 5, 100, 1, 0)
-	r.v.SetStrict(true)
-	r.spillDisk()
-	for i := 0; i < 20; i++ {
-		r.ns.Write(r.client, uint32(i), nil)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("strict mode did not panic on pool exhaustion")
-		}
-	}()
-	r.eng.RunSeconds(10)
-}
-
 func TestFreeOfSpilledAndLostPages(t *testing.T) {
 	// Freeing must clear spill and lost bookkeeping, not just pool slots:
 	// a page faulted back in after degradation is gone for good.

@@ -3,7 +3,7 @@
 // k consecutive same-direction offsets arm an asynchronous readahead
 // window that pulls the pages ahead of the stream into a client-side
 // staging cache. Staged hits bypass the network entirely; useful windows
-// double (up to MaxWindow) and a broken stream resets. Prefetch traffic
+// double (up to raMaxWindow) and a broken stream resets. Prefetch traffic
 // rides the same simulated flows as foreground reads, so it genuinely
 // competes for NIC bandwidth.
 
@@ -12,6 +12,20 @@ package vmd
 import (
 	"agilemig/internal/mem"
 	"agilemig/internal/trace"
+)
+
+// The readahead's fixed parameters.
+const (
+	// raTrigger is how many consecutive same-direction offsets arm a
+	// readahead window.
+	raTrigger = 4
+	// raInitWindow is the first window size in pages; each useful window
+	// doubles it up to raMaxWindow. A broken stream resets to raInitWindow.
+	raInitWindow = 8
+	raMaxWindow  = 64
+	// raStagingPages bounds the client-side staging cache; the oldest
+	// staged pages are discarded (counted as wasted) beyond it.
+	raStagingPages = 512
 )
 
 // prefetcher is one client's readahead state on one namespace.
@@ -43,14 +57,14 @@ type prefetcher struct {
 }
 
 // prefFor returns (lazily creating) the client's prefetcher. Callers gate
-// on StoreConfig.Readahead.Enabled.
+// on StoreConfig.Readahead.
 func (ns *Namespace) prefFor(c *Client) *prefetcher {
 	for _, pf := range ns.pref {
 		if pf.c == c {
 			return pf
 		}
 	}
-	pf := &prefetcher{ns: ns, c: c, window: ns.vmd.store.Readahead.InitWindow}
+	pf := &prefetcher{ns: ns, c: c, window: raInitWindow}
 	pf.clearCache()
 	ns.pref = append(ns.pref, pf)
 	return pf
@@ -99,7 +113,6 @@ func (pf *prefetcher) noteHit(off uint32) {
 
 // note updates the stream detector with one demand-read offset.
 func (pf *prefetcher) note(off uint32) {
-	cfg := &pf.ns.vmd.store.Readahead
 	switch {
 	case !pf.seen:
 		pf.seen = true
@@ -115,7 +128,7 @@ func (pf *prefetcher) note(off uint32) {
 		// Stream broken: restart detection and shrink the window back.
 		pf.run = 1
 		pf.dir = 0
-		pf.window = cfg.InitWindow
+		pf.window = raInitWindow
 	}
 	pf.lastOff = off
 }
@@ -125,8 +138,7 @@ func (pf *prefetcher) note(off uint32) {
 // stream.
 func (pf *prefetcher) maybeIssue(off uint32) {
 	ns := pf.ns
-	cfg := &ns.vmd.store.Readahead
-	if pf.busy || pf.dir == 0 || pf.run < cfg.Trigger {
+	if pf.busy || pf.dir == 0 || pf.run < raTrigger {
 		return
 	}
 	limit := len(ns.placement)
@@ -136,7 +148,7 @@ func (pf *prefetcher) maybeIssue(off uint32) {
 	// already staged/inflight ones are skipped (the window extends past
 	// them); anything else ends the window — the stream is about to break
 	// on it anyway. The walk is bounded so skip chains cannot spin.
-	for scanned := 0; len(batch) < pf.window && scanned < 4*cfg.MaxWindow; scanned++ {
+	for scanned := 0; len(batch) < pf.window && scanned < 4*raMaxWindow; scanned++ {
 		cur += int64(pf.dir)
 		if cur < 0 || cur >= int64(limit) {
 			break
@@ -155,10 +167,10 @@ func (pf *prefetcher) maybeIssue(off uint32) {
 	}
 	pf.busy = true
 	pf.issued += int64(len(batch))
-	if pf.window < cfg.MaxWindow {
+	if pf.window < raMaxWindow {
 		pf.window *= 2
-		if pf.window > cfg.MaxWindow {
-			pf.window = cfg.MaxWindow
+		if pf.window > raMaxWindow {
+			pf.window = raMaxWindow
 		}
 	}
 	for _, o := range batch {
@@ -297,8 +309,7 @@ func (pf *prefetcher) fetchRun(s *Server, run []uint32, done func()) {
 
 // evictStaging discards oldest staged pages beyond the cache budget.
 func (pf *prefetcher) evictStaging() {
-	budget := pf.ns.vmd.store.Readahead.StagingPages
-	for len(pf.staged) > budget && len(pf.order) > 0 {
+	for len(pf.staged) > raStagingPages && len(pf.order) > 0 {
 		o := pf.order[0]
 		pf.order = pf.order[1:]
 		if pf.staged[o] {

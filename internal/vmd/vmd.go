@@ -21,8 +21,7 @@
 // servers, a crashed server's pages stay readable from the surviving
 // copies, and the pool re-replicates affected pages in the background. Pool
 // exhaustion degrades to a spill onto the writing host's local swap disk
-// (counted and traced; SetStrict restores the old panic for scenario
-// debugging). With EnableFaultTolerance armed, in-flight requests that a
+// (counted and traced). With EnableFaultTolerance armed, in-flight requests that a
 // crash, link outage or message loss swallowed are retried after a timeout
 // instead of hanging forever. All of this machinery is off by default: a
 // fault-free run with K=1 executes the exact event sequence it always did.
@@ -73,8 +72,7 @@ type VMD struct {
 	tr         *trace.Trace
 	reg        *metrics.Registry
 
-	replicas int  // K for namespaces created afterwards (<=1: off)
-	strict   bool // pool exhaustion panics instead of spilling
+	replicas int // K for namespaces created afterwards (<=1: off)
 
 	ft        bool    // fault tolerance armed: time out and retry requests
 	ftTimeout float64 // seconds
@@ -125,11 +123,6 @@ func (v *VMD) SetReplicas(k int) {
 
 // Replicas returns the configured replication factor.
 func (v *VMD) Replicas() int { return v.replicas }
-
-// SetStrict restores the historical behavior of panicking when the pool is
-// exhausted, instead of spilling to the client's local disk — useful when
-// debugging a scenario that should never fill the pool.
-func (v *VMD) SetStrict(on bool) { v.strict = on }
 
 // EnableFaultTolerance arms request timeouts: a write or read whose server
 // does not respond within timeoutSec simulated seconds (crash, link outage,
@@ -183,7 +176,7 @@ func (c *Client) registerMetrics(reg *metrics.Registry) {
 	reg.Gauge(p+"written.pages", func() float64 { return float64(c.pagesWritten) })
 	reg.Gauge(p+"read.pages", func() float64 { return float64(c.pagesRead) })
 	reg.Gauge(p+"retries", func() float64 { return float64(c.retries) })
-	if c.vmd.store.Readahead.Enabled {
+	if c.vmd.store.Readahead {
 		reg.Gauge(p+"prefetched.pages", func() float64 { return float64(c.prefetched) })
 		reg.Gauge(p+"staged.reads", func() float64 { return float64(c.reads[originStaged]) })
 	}
@@ -201,7 +194,7 @@ func (ns *Namespace) registerMetrics(reg *metrics.Registry) {
 	reg.Gauge(p+"rereplicated.pages", func() float64 { return float64(ns.rereplicated) })
 	reg.Gauge(p+"failover.reads", func() float64 { return float64(ns.failoverReads) })
 	v := ns.vmd
-	if v.store.Readahead.Enabled {
+	if v.store.Readahead {
 		reg.Gauge(p+"prefetch.issued", func() float64 { i, _, _, _ := ns.PrefetchStats(); return float64(i) })
 		reg.Gauge(p+"prefetch.hits", func() float64 { _, h, _, _ := ns.PrefetchStats(); return float64(h) })
 		reg.Gauge(p+"prefetch.wasted", func() float64 { _, _, _, w := ns.PrefetchStats(); return float64(w) })
@@ -1058,8 +1051,7 @@ type writeOp struct {
 // Overwrites go to the servers already holding the offset; new offsets go
 // to the next K servers in round-robin order whose gossiped capacity is
 // nonzero, falling back through NACK-and-retry when the hint was stale.
-// When the whole pool is full the page spills to the client's local disk
-// (or, in strict mode, panics as a scenario configuration error).
+// When the whole pool is full the page spills to the client's local disk.
 func (ns *Namespace) Write(c *Client, off uint32, fn func()) {
 	if !ns.clients[c] {
 		panic("vmd: write through unattached client " + c.name + " on namespace " + ns.name)
@@ -1394,9 +1386,6 @@ func (op *writeOp) timeout(s *Server, st *sendState, link *serverLink, primary, 
 func (op *writeOp) spillPrimary() {
 	ns := op.ns
 	c := op.c
-	if ns.vmd.strict {
-		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d", ns.name, op.off))
-	}
 	if c.spillDev == nil {
 		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d and no spill device attached to %s", ns.name, op.off, c.name))
 	}
@@ -1488,7 +1477,7 @@ func (ns *Namespace) Read(c *Client, off uint32, fn func()) {
 	}
 	fn = ns.wrapLatency(fn)
 	fn = ns.wrapReadSpan(fn, off, 1)
-	if ns.vmd.store.Readahead.Enabled {
+	if ns.vmd.store.Readahead {
 		pf := ns.prefFor(c)
 		if pf.take(off) {
 			ns.serveStaged(pf, c, off, fn)

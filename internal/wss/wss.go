@@ -28,15 +28,14 @@ type TrackerConfig struct {
 	TauBytesPerSec float64 // swap-rate threshold τ
 	FastInterval   float64 // seconds between adjustments while converging
 	SlowInterval   float64 // seconds between adjustments once stable
-	// StableFlips is how many grow/shrink direction changes indicate the
-	// reservation is oscillating around the true working set.
-	StableFlips int
 	// MinReservationBytes floors the reservation so a completely idle VM
-	// is not squeezed to nothing.
+	// is not squeezed to nothing. Growth is capped at the VM's memory size.
 	MinReservationBytes int64
-	// MaxReservationBytes caps growth (defaults to the VM's memory size).
-	MaxReservationBytes int64
 }
+
+// stableFlips is how many grow/shrink direction changes indicate the
+// reservation is oscillating around the true working set.
+const stableFlips = 4
 
 // DefaultTrackerConfig returns the paper's parameters: α=0.95, β=1.03,
 // τ=4 KB/s, 2 s fast interval, 30 s slow interval.
@@ -47,7 +46,6 @@ func DefaultTrackerConfig() TrackerConfig {
 		TauBytesPerSec:      4096,
 		FastInterval:        2,
 		SlowInterval:        30,
-		StableFlips:         4,
 		MinReservationBytes: 64 << 20,
 	}
 }
@@ -142,7 +140,7 @@ func (t *Tracker) adjust() {
 	if next < t.cfg.MinReservationBytes {
 		next = t.cfg.MinReservationBytes
 	}
-	if max := t.maxReservation(); next > max {
+	if max := t.group.Table().Bytes(); next > max {
 		next = max
 	}
 	if next != resv {
@@ -166,7 +164,7 @@ func (t *Tracker) adjust() {
 			recentFlips++
 		}
 	}
-	if !t.stable && recentFlips >= t.cfg.StableFlips {
+	if !t.stable && recentFlips >= stableFlips {
 		t.stable = true
 		t.everStable = true
 		t.stableAt = next
@@ -203,13 +201,6 @@ func (t *Tracker) adjust() {
 	} else {
 		t.schedule(t.cfg.FastInterval)
 	}
-}
-
-func (t *Tracker) maxReservation() int64 {
-	if t.cfg.MaxReservationBytes > 0 {
-		return t.cfg.MaxReservationBytes
-	}
-	return t.group.Table().Bytes()
 }
 
 // SelectVMsToMigrate returns the fewest VMs whose removal brings the
