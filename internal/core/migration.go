@@ -75,7 +75,11 @@ type Migration struct {
 	// scan, the scatter or push stream); stopSpan covers exactly the
 	// VM-stopped window (Suspend -> Switchover), so its duration equals the
 	// migration's contribution to DowntimeSeconds; cpuSpan is the CPU-state
-	// transit inside it; residSpan is the post-drain residual demand window.
+	// transit inside it; residSpan is the post-drain residual window, spent
+	// waiting on in-flight deliveries and unanswered demand faults. Phase
+	// transitions open and close these unguarded (see open); only the
+	// per-batch and per-fault spans are guarded, to skip their attribute
+	// construction when spans are off.
 	sp        *trace.SpanEmitter
 	rootSpan  trace.SpanID
 	phaseSpan trace.SpanID
@@ -101,24 +105,18 @@ func (m *Migration) event(kind trace.Kind, format string, args ...interface{}) {
 	m.em.Emitf(m.eng.NowSeconds(), kind, format, args...)
 }
 
-// beginRoundSpan opens the current live round's phase span (pre-copy
-// rounds and Agile's single live round).
-func (m *Migration) beginRoundSpan() {
-	if m.sp.Enabled() {
-		m.phaseSpan = m.sp.Begin(m.eng.NowSeconds(), "round", m.rootSpan,
-			trace.Num("round", float64(m.round)))
-	}
+// open begins a span named name under parent now and stores its ID in
+// *id. With spans off the ID stays 0, which close and every SpanEmitter
+// method accept, so phase transitions call it unguarded.
+func (m *Migration) open(id *trace.SpanID, name string, parent trace.SpanID, attrs ...trace.Attr) {
+	*id = m.sp.Begin(m.eng.NowSeconds(), name, parent, attrs...)
 }
 
-// beginStopSpans opens the VM-stopped window span and, inside it, the
-// CPU-state transit span. Both end at switchover; the stopped span's
-// duration is by construction this migration's DowntimeSeconds.
-func (m *Migration) beginStopSpans() {
-	if m.sp.Enabled() {
-		now := m.eng.NowSeconds()
-		m.stopSpan = m.sp.Begin(now, "stopped", m.rootSpan)
-		m.cpuSpan = m.sp.Begin(now, "cpu-state", m.stopSpan)
-	}
+// close ends the span in *id now and zeroes the slot; a zero or already
+// ended span is a no-op.
+func (m *Migration) close(id *trace.SpanID, attrs ...trace.Attr) {
+	m.sp.End(m.eng.NowSeconds(), *id, attrs...)
+	*id = 0
 }
 
 // finishDemand closes a demand fault's accounting: one latency observation
@@ -182,13 +180,11 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 	m.result.Start = eng.Now()
 	m.event(trace.MigrationStart, "%s of %s: %d pages, %s -> %s",
 		tech, vm.Name(), m.nPages, spec.Source.Name(), spec.Dest.Name())
-	if m.sp.Enabled() {
-		m.rootSpan = m.sp.Begin(eng.NowSeconds(), "migration", 0,
-			trace.Str("technique", tech.String()),
-			trace.Num("pages", float64(m.nPages)),
-			trace.Str("source", spec.Source.Name()),
-			trace.Str("dest", spec.Dest.Name()))
-	}
+	m.open(&m.rootSpan, "migration", 0,
+		trace.Str("technique", tech.String()),
+		trace.Num("pages", float64(m.nPages)),
+		trace.Str("source", spec.Source.Name()),
+		trace.Str("dest", spec.Dest.Name()))
 
 	src, dst := spec.Source.NIC(), spec.Dest.NIC()
 	m.pushFlow = net.NewFlow("mig:push:"+vm.Name(), src, dst, spec.Latency)
@@ -221,12 +217,13 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		m.round = 1
 		m.result.Rounds = 1
 		m.state = phaseLive
-		m.beginRoundSpan()
+		m.open(&m.phaseSpan, "round", m.rootSpan, trace.Num("round", float64(m.round)))
 	case PostCopy:
 		// Suspend immediately; CPU state leads the stream, pages follow.
 		m.event(trace.Suspend, "immediate (post-copy)")
 		vm.Suspend()
-		m.beginStopSpans()
+		m.open(&m.stopSpan, "stopped", m.rootSpan)
+		m.open(&m.cpuSpan, "cpu-state", m.stopSpan)
 		m.pushBM = mem.NewBitmap(m.nPages)
 		m.pushBM.SetAll()
 		m.state = phasePush
@@ -239,7 +236,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		m.round = 1
 		m.result.Rounds = 1
 		m.state = phaseLive
-		m.beginRoundSpan()
+		m.open(&m.phaseSpan, "round", m.rootSpan, trace.Num("round", float64(m.round)))
 	case ScatterGather:
 		m.startScatterGather()
 	}
@@ -275,14 +272,11 @@ func (m *Migration) Abort() bool {
 	m.result.Aborted = true
 	m.event(trace.MigrationAbort, "rolled back to %s after %d pages sent",
 		m.spec.Source.Name(), m.result.PagesSent)
-	if m.sp.Enabled() {
-		now := m.eng.NowSeconds()
-		m.sp.End(now, m.phaseSpan)
-		m.sp.End(now, m.cpuSpan)
-		m.sp.End(now, m.stopSpan)
-		m.sp.End(now, m.residSpan)
-		m.sp.End(now, m.rootSpan, trace.Str("outcome", "aborted"))
-	}
+	m.close(&m.phaseSpan)
+	m.close(&m.cpuSpan)
+	m.close(&m.stopSpan)
+	m.close(&m.residSpan)
+	m.close(&m.rootSpan, trace.Str("outcome", "aborted"))
 	// The destination side is torn down; its cgroup never ran the VM.
 	m.destGroup.Disable()
 	m.spec.Dest.RemoveVM(m.vm.Name())
@@ -444,7 +438,8 @@ func (m *Migration) pumpPush() {
 			if !m.srcDrained {
 				m.srcDrained = true
 				m.event(trace.SourceDrained, "push set empty after %d pages", m.result.PagesSent)
-				m.beginResidualSpan()
+				m.close(&m.phaseSpan, trace.Num("pages-sent", float64(m.result.PagesSent)))
+				m.open(&m.residSpan, "residual", m.rootSpan)
 				// FIFO marker: when this arrives, every pushed page has.
 				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
@@ -473,20 +468,6 @@ func (m *Migration) pumpPush() {
 		}
 		budget -= consumed
 	}
-}
-
-// beginResidualSpan closes the active streaming phase span (push or
-// scatter) and opens the residual window: the tail between the source
-// draining and the migration completing, spent waiting on in-flight
-// deliveries and unanswered demand faults.
-func (m *Migration) beginResidualSpan() {
-	if !m.sp.Enabled() {
-		return
-	}
-	now := m.eng.NowSeconds()
-	m.sp.End(now, m.phaseSpan, trace.Num("pages-sent", float64(m.result.PagesSent)))
-	m.phaseSpan = 0
-	m.residSpan = m.sp.Begin(now, "residual", m.rootSpan)
 }
 
 // armDrainCheck re-evaluates completion periodically once the source has
@@ -832,14 +813,13 @@ func (m *Migration) complete() {
 	m.vm.SetMigrating(false)
 	m.event(trace.Complete, "total %.2fs, %d pages sent, %d demand-served",
 		sim.Seconds(m.eng.Now()-m.result.Start, m.eng.TickLen()), m.result.PagesSent, m.result.PagesDemandServed)
-	if m.sp.Enabled() {
-		now := m.eng.NowSeconds()
-		m.sp.End(now, m.residSpan)
-		m.sp.End(now, m.phaseSpan)
-		m.sp.End(now, m.rootSpan,
-			trace.Num("pages-sent", float64(m.result.PagesSent)),
-			trace.Num("demand-served", float64(m.result.PagesDemandServed)))
-	}
+	m.close(&m.residSpan)
+	m.close(&m.phaseSpan)
+	// The root keeps its ID: a gather tail started below still parents on
+	// it.
+	m.sp.End(m.eng.NowSeconds(), m.rootSpan,
+		trace.Num("pages-sent", float64(m.result.PagesSent)),
+		trace.Num("demand-served", float64(m.result.PagesDemandServed)))
 	if m.tech != PreCopy {
 		// Runtime faults from here on use the destination cgroup directly.
 		m.vm.SetFaultHandler(nil)
@@ -876,15 +856,11 @@ func (m *Migration) switchover() {
 	m.switched = true
 	m.result.Switchover = m.eng.Now()
 	m.event(trace.Switchover, "execution resumes at %s", m.spec.Dest.Name())
-	if m.sp.Enabled() {
-		now := m.eng.NowSeconds()
-		m.sp.End(now, m.cpuSpan)
-		m.sp.End(now, m.stopSpan)
-		m.cpuSpan, m.stopSpan = 0, 0
-		if m.tech == PostCopy || m.tech == Agile {
-			// Scatter-gather keeps its scatter span; pre-copy completes here.
-			m.phaseSpan = m.sp.Begin(now, "push", m.rootSpan)
-		}
+	m.close(&m.cpuSpan)
+	m.close(&m.stopSpan)
+	if m.tech == PostCopy || m.tech == Agile {
+		// Scatter-gather keeps its scatter span; pre-copy completes here.
+		m.open(&m.phaseSpan, "push", m.rootSpan)
 	}
 	if m.tech == ScatterGather {
 		// The portable swap device attaches at the destination; scattered

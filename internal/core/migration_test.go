@@ -12,6 +12,7 @@ import (
 	"agilemig/internal/mem"
 	"agilemig/internal/sim"
 	"agilemig/internal/simnet"
+	"agilemig/internal/trace"
 	"agilemig/internal/vmd"
 	"agilemig/internal/workload"
 )
@@ -104,6 +105,14 @@ func newRigDestNIC(t *testing.T, o rigOpt, destNIC int64) *rig {
 // fails the test after a timeout).
 func (r *rig) migrate(t *testing.T, tech Technique, timeoutS float64) *Result {
 	t.Helper()
+	r.start(tech, Tuning{}, nil)
+	r.wait(t, timeoutS)
+	return r.result
+}
+
+// start launches the given technique with the given tuning, recording into
+// tr (nil records nothing).
+func (r *rig) start(tech Technique, tun Tuning, tr *trace.Trace) *Migration {
 	var backend = r.dst.SharedSwapBackend()
 	if tech == Agile || tech == ScatterGather {
 		backend = r.dstVMDBackend()
@@ -115,6 +124,8 @@ func (r *rig) migrate(t *testing.T, tech Technique, timeoutS float64) *Result {
 		DestReservationBytes: r.vm.Group().ReservationBytes(),
 		DestBackend:          backend,
 		Namespace:            r.ns,
+		Tuning:               tun,
+		Trace:                tr,
 		OnSwitchover: func() {
 			if r.client != nil {
 				req := r.net.NewFlow("req2", r.clientNIC, r.dst.NIC(), 0)
@@ -125,14 +136,20 @@ func (r *rig) migrate(t *testing.T, tech Technique, timeoutS float64) *Result {
 		OnComplete: func(res *Result) { r.result = res },
 	}
 	r.mig = Start(r.eng, r.net, tech, spec)
+	return r.mig
+}
+
+// wait steps the engine until the started migration completes, failing
+// the test after timeoutS simulated seconds.
+func (r *rig) wait(t *testing.T, timeoutS float64) {
+	t.Helper()
 	deadline := r.eng.Now() + sim.Time(r.eng.SecondsToTicks(timeoutS))
 	for r.eng.Now() < deadline && !r.mig.Done() {
 		r.eng.Step()
 	}
 	if !r.mig.Done() {
-		t.Fatalf("%v migration did not complete within %.0fs (phase %v)", tech, timeoutS, r.mig.state)
+		t.Fatalf("%v migration did not complete within %.0fs (phase %v)", r.mig.tech, timeoutS, r.mig.state)
 	}
-	return r.result
 }
 
 func TestPreCopyIdleVM(t *testing.T) {

@@ -23,22 +23,15 @@ func (m *Migration) endPreCopyRound() {
 		// it arrives (FIFO ⇒ after every page of the final round).
 		m.roundBM = nil
 		m.event(trace.CPUStateSent, "after stop-and-copy round %d", m.round)
-		if m.sp.Enabled() {
-			now := m.eng.NowSeconds()
-			m.sp.End(now, m.phaseSpan)
-			m.phaseSpan = 0
-			m.cpuSpan = m.sp.Begin(now, "cpu-state", m.stopSpan)
-		}
+		m.close(&m.phaseSpan)
+		m.open(&m.cpuSpan, "cpu-state", m.stopSpan)
 		m.pushFlow.SendMessage(cpuStateBytes, m.switchover)
 		return
 	}
 	// §II: iterate until converging on the writable working set.
 	remaining := m.srcTable.DirtyCount()
 	m.event(trace.RoundEnd, "round %d done; %d pages dirty", m.round, remaining)
-	if m.sp.Enabled() {
-		m.sp.End(m.eng.NowSeconds(), m.phaseSpan, trace.Num("dirty", float64(remaining)))
-		m.phaseSpan = 0
-	}
+	m.close(&m.phaseSpan, trace.Num("dirty", float64(remaining)))
 	m.round++
 	m.result.Rounds++
 	m.srcTable.CollectDirty(m.roundBM)
@@ -50,16 +43,12 @@ func (m *Migration) endPreCopyRound() {
 		m.event(trace.Suspend, "stop-and-copy with %d pages", remaining)
 		m.vm.Suspend()
 		m.state = phaseSuspend
-		if m.sp.Enabled() {
-			now := m.eng.NowSeconds()
-			m.stopSpan = m.sp.Begin(now, "stopped", m.rootSpan)
-			m.phaseSpan = m.sp.Begin(now, "stop-and-copy", m.stopSpan,
-				trace.Num("pages", float64(remaining)))
-		}
+		m.open(&m.stopSpan, "stopped", m.rootSpan)
+		m.open(&m.phaseSpan, "stop-and-copy", m.stopSpan, trace.Num("pages", float64(remaining)))
 		return
 	}
 	m.event(trace.RoundStart, "round %d over %d pages", m.round, m.roundBM.Count())
-	m.beginRoundSpan()
+	m.open(&m.phaseSpan, "round", m.rootSpan, trace.Num("round", float64(m.round)))
 	if m.tun.AutoConverge && remaining >= m.prevRemaining && m.prevRemaining > 0 {
 		// The dirty set is not shrinking: throttle the vCPUs so the next
 		// round outruns the writes (QEMU auto-converge / SDPS).
@@ -78,12 +67,10 @@ func (m *Migration) endPreCopyRound() {
 // set, and ship CPU state plus the dirty bitmap.
 func (m *Migration) endAgileRound() {
 	m.event(trace.Suspend, "after the live round")
-	if m.sp.Enabled() {
-		m.sp.End(m.eng.NowSeconds(), m.phaseSpan)
-		m.phaseSpan = 0
-	}
+	m.close(&m.phaseSpan)
 	m.vm.Suspend()
-	m.beginStopSpans()
+	m.open(&m.stopSpan, "stopped", m.rootSpan)
+	m.open(&m.cpuSpan, "cpu-state", m.stopSpan)
 	m.roundBM = nil
 	m.pushBM = mem.NewBitmap(m.nPages)
 	m.srcTable.CollectDirty(m.pushBM)

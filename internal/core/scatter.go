@@ -23,13 +23,12 @@ func (m *Migration) startScatterGather() {
 	m.event(trace.ScatterStart, "scattering %d pages into the namespace", m.nPages)
 	m.event(trace.Suspend, "immediate (scatter-gather)")
 	m.vm.Suspend()
-	m.beginStopSpans()
-	if m.sp.Enabled() {
-		// The scatter stream runs through the stopped window and past
-		// switchover until the source drains, so it is the root's child,
-		// not the stopped window's.
-		m.phaseSpan = m.sp.Begin(m.eng.NowSeconds(), "scatter", m.rootSpan)
-	}
+	m.open(&m.stopSpan, "stopped", m.rootSpan)
+	m.open(&m.cpuSpan, "cpu-state", m.stopSpan)
+	// The scatter stream runs through the stopped window and past
+	// switchover until the source drains, so it is the root's child, not
+	// the stopped window's.
+	m.open(&m.phaseSpan, "scatter", m.rootSpan)
 	m.pushBM = mem.NewBitmap(m.nPages)
 	m.pushBM.SetAll()
 	m.knownUntouched = mem.NewBitmap(m.nPages)
@@ -65,7 +64,8 @@ func (m *Migration) pumpScatter() {
 			if !m.srcDrained {
 				m.srcDrained = true
 				m.event(trace.SourceDrained, "scatter complete after %d pages", m.result.PagesScattered)
-				m.beginResidualSpan()
+				m.close(&m.phaseSpan, trace.Num("pages-sent", float64(m.result.PagesSent)))
+				m.open(&m.residSpan, "residual", m.rootSpan)
 				m.pushFlow.SendMessage(recordBytes, func() {
 					m.maybeComplete()
 				})
@@ -214,13 +214,11 @@ func (m *Migration) deliverScatterRecord(p mem.PageID, off uint32) {
 // original system; without it, pages arrive only as the workload faults).
 func (m *Migration) startGatherPrefetch() {
 	m.event(trace.GatherStart, "prefetching scattered pages into %s", m.spec.Dest.Name())
+	// The root span has just ended (complete runs first), but parent links
+	// are structural, not lifetime-nested: the gather tail still belongs to
+	// this migration's tree.
 	var gsp trace.SpanID
-	if m.sp.Enabled() {
-		// The root span has just ended (complete runs first), but parent
-		// links are structural, not lifetime-nested: the gather tail still
-		// belongs to this migration's tree.
-		gsp = m.sp.Begin(m.eng.NowSeconds(), "gather", m.rootSpan)
-	}
+	m.open(&gsp, "gather", m.rootSpan)
 	var cursor mem.PageID
 	inFlight := 0
 	done := false
@@ -253,7 +251,7 @@ func (m *Migration) startGatherPrefetch() {
 			if len(batch) == 0 {
 				if int(cursor) >= m.nPages {
 					done = true
-					m.sp.End(m.eng.NowSeconds(), gsp)
+					m.close(&gsp)
 				}
 				return
 			}

@@ -135,7 +135,7 @@ func TestAnalyzeWastedWork(t *testing.T) {
 // migration's span log, analyzed, must report a critical path whose
 // in-stop-window portion equals the migration's reported downtime.
 func TestAnalyzeDowntimeMatchesResult(t *testing.T) {
-	for _, tech := range []core.Technique{core.PreCopy, core.Agile} {
+	for _, tech := range []core.Technique{core.PreCopy, core.PostCopy, core.Agile, core.ScatterGather} {
 		tr := trace.New(1 << 18)
 		cfg := cluster.DefaultConfig()
 		cfg.HostRAMBytes = 300 * 1 << 20

@@ -319,9 +319,9 @@ func (op *batchOp) timeout(s *Server, st *sendState, link *serverLink, primary b
 
 // ReadBatch fetches pages at ascending offsets through the client,
 // grouping contiguous same-primary-server runs (up to the configured
-// BatchPages) into one request/response pair each. Staged, tier-held and
-// degraded offsets are served by their own paths, page by page. fn runs
-// once every page has been delivered.
+// BatchPages) into one request/response pair each. Staged, tier-held,
+// degraded and single offsets are served by their own paths, page by page.
+// fn runs once every page has been delivered.
 func (ns *Namespace) ReadBatch(c *Client, offs []uint32, fn func()) {
 	if !ns.clients[c] {
 		panic("vmd: read through unattached client " + c.name + " on namespace " + ns.name)
@@ -333,13 +333,17 @@ func (ns *Namespace) ReadBatch(c *Client, offs []uint32, fn func()) {
 		panic("vmd: read past end of namespace")
 	}
 	fn = ns.wrapReadSpan(fn, offs[0], len(offs))
-	remaining := len(offs)
-	each := ns.wrapLatency(func() {
-		remaining--
-		if remaining == 0 && fn != nil {
-			fn()
+	each := fn
+	if len(offs) > 1 {
+		remaining := len(offs)
+		each = func() {
+			remaining--
+			if remaining == 0 && fn != nil {
+				fn()
+			}
 		}
-	})
+	}
+	each = ns.wrapLatency(each)
 	var pf *prefetcher
 	if ns.vmd.store.Readahead {
 		pf = ns.prefFor(c)
@@ -362,39 +366,32 @@ func (ns *Namespace) ReadBatch(c *Client, offs []uint32, fn func()) {
 			continue
 		}
 		sIdx := ns.placement[off]
-		if sIdx == noServer {
-			ns.readCopy(c, off, each)
-			i++
-			continue
-		}
 		j := i + 1
-		for j < len(offs) && j-i < maxRun && offs[j] == offs[j-1]+1 &&
+		for sIdx != noServer && j < len(offs) && j-i < maxRun && offs[j] == offs[j-1]+1 &&
 			ns.placement[offs[j]] == sIdx && ns.ctHolder(offs[j]) == nil &&
 			(pf == nil || !pf.staged[offs[j]]) {
 			j++
 		}
 		if j-i == 1 {
 			ns.readCopy(c, off, each)
-			i = j
-			continue
+		} else {
+			ns.readRun(c, ns.vmd.servers[sIdx], off, j-i, each)
 		}
-		run := offs[i:j]
-		for _, o := range run {
-			ns.touch(o)
-		}
-		ns.readRun(c, ns.vmd.servers[sIdx], run, each)
 		i = j
 	}
 }
 
-// readRun fetches one contiguous run from one server: a request out, one
-// batched page message back, with timeout-driven per-page failover when
-// fault tolerance is armed.
-func (ns *Namespace) readRun(c *Client, s *Server, run []uint32, each func()) {
+// readRun fetches the n contiguous offsets from first on one server: a
+// request out, one batched page message back, with timeout-driven
+// per-page failover when fault tolerance is armed.
+func (ns *Namespace) readRun(c *Client, s *Server, first uint32, n int, each func()) {
 	v := ns.vmd
-	n := len(run)
+	last := first + uint32(n) - 1
+	for o := first; o <= last; o++ {
+		ns.touch(o)
+	}
 	if ns.em.Enabled() {
-		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offsets %d..%d batched from %s via %s", run[0], run[n-1], s.name, c.name)
+		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offsets %d..%d batched from %s via %s", first, last, s.name, c.name)
 	}
 	link := c.links[s.idx]
 	st := &sendState{}
@@ -408,7 +405,7 @@ func (ns *Namespace) readRun(c *Client, s *Server, run []uint32, each func()) {
 			if ns.em.Enabled() {
 				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDFailover, "batched read of %d pages from %s timed out, retrying per page", n, s.name)
 			}
-			for _, o := range run {
+			for o := first; o <= last; o++ {
 				ns.readCopy(c, o, each)
 			}
 		})
@@ -418,7 +415,7 @@ func (ns *Namespace) readRun(c *Client, s *Server, run []uint32, each func()) {
 			return
 		}
 		diskN := 0
-		for _, o := range run {
+		for o := first; o <= last; o++ {
 			if ns.placement[o] == s.idx && ns.onDisk.Test(mem.PageID(o)) {
 				diskN++
 			}
@@ -430,7 +427,7 @@ func (ns *Namespace) readRun(c *Client, s *Server, run []uint32, each func()) {
 					return
 				}
 				st.settled = true
-				for range run {
+				for i := 0; i < n; i++ {
 					c.countRead(originRemote)
 					each()
 				}
@@ -439,7 +436,7 @@ func (ns *Namespace) readRun(c *Client, s *Server, run []uint32, each func()) {
 		if diskN > 0 {
 			s.diskServes += int64(diskN)
 			s.disk.Read(mem.PagesToBytes(diskN), func() {
-				for _, o := range run {
+				for o := first; o <= last; o++ {
 					if ns.placement[o] == s.idx {
 						ns.maybePromote(s, o)
 					}

@@ -33,6 +33,7 @@ func benchDemandRig(store StoreConfig, nsPages int) (*sim.Engine, *Client, *Name
 // the flat v1 store and for the batched+readahead v2 store. The readahead
 // variant does strictly more bookkeeping per read (detector, staging), so
 // its per-page cost bounds the overhead the prefetcher adds to the kernel.
+// Allocations are reported so the per-read allocation cost stays visible.
 func BenchmarkVMDDemandRead(b *testing.B) {
 	const pages = 1 << 14
 	variants := []struct {
@@ -49,6 +50,7 @@ func BenchmarkVMDDemandRead(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			eng, c, ns := benchDemandRig(v.store, pages)
 			served := 0
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ns.Read(c, uint32(i%pages), func() { served++ })

@@ -1463,33 +1463,13 @@ func (c *Client) pickServer(mask uint64) *Server {
 
 // Read fetches the page at the given offset through the given client
 // (which must be attached); fn runs when the page body has been delivered.
-// A lost page (every copy died with a crashed server) is served as
-// zero-fill; a spilled page is read from the holding client's local disk,
-// crossing the network when another host reads it. Reading an offset that
-// was never written panics: it means a migration engine believed a page
-// was on swap when it was not.
+// It is a one-page ReadBatch. A lost page (every copy died with a crashed
+// server) is served as zero-fill; a spilled page is read from the holding
+// client's local disk, crossing the network when another host reads it.
+// Reading an offset that was never written panics: it means a migration
+// engine believed a page was on swap when it was not.
 func (ns *Namespace) Read(c *Client, off uint32, fn func()) {
-	if !ns.clients[c] {
-		panic("vmd: read through unattached client " + c.name + " on namespace " + ns.name)
-	}
-	if int(off) >= len(ns.placement) {
-		panic("vmd: read past end of namespace")
-	}
-	fn = ns.wrapLatency(fn)
-	fn = ns.wrapReadSpan(fn, off, 1)
-	if ns.vmd.store.Readahead {
-		pf := ns.prefFor(c)
-		if pf.take(off) {
-			ns.serveStaged(pf, c, off, fn)
-			return
-		}
-		pf.observe(off)
-	}
-	if st := ns.ctHolder(off); st != nil {
-		ns.readCtier(st, c, off, fn)
-		return
-	}
-	ns.readCopy(c, off, fn)
+	ns.ReadBatch(c, []uint32{off}, fn)
 }
 
 // SetReadLatencySink installs a callback observing the latency (in
