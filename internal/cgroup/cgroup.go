@@ -95,6 +95,7 @@ type Group struct {
 	victimScratch []mem.PageID
 	evictFree     []*evictRec
 	faultFree     []*faultRec
+	waiterFree    [][]func()
 
 	// em receives reservation-change and swap-full events; nil (the
 	// default) records nothing.
@@ -385,7 +386,7 @@ func (g *Group) FaultIn(p mem.PageID, done func()) {
 	if g.table.State(p) == mem.StateFaulting {
 		// Already in flight: join without consuming an admission slot.
 		if done != nil {
-			g.waiters[p] = append(g.waiters[p], done)
+			g.addWaiter(p, done)
 		}
 		return
 	}
@@ -414,7 +415,7 @@ func (g *Group) faultInNow(p mem.PageID, done func()) {
 	case mem.StateFaulting:
 		// Another admission for the same page ran first; join it.
 		if done != nil {
-			g.waiters[p] = append(g.waiters[p], done)
+			g.addWaiter(p, done)
 		}
 		return
 	case mem.StateSwapped:
@@ -430,7 +431,7 @@ func (g *Group) faultInNow(p mem.PageID, done func()) {
 	}
 	g.table.SetState(p, mem.StateFaulting)
 	if done != nil {
-		g.waiters[p] = append(g.waiters[p], done)
+		g.addWaiter(p, done)
 	}
 	slot := g.table.SwapOffset(p)
 	r := g.newFaultRec()
@@ -454,11 +455,33 @@ func (r *faultRec) readDone() {
 	g.table.SetState(p, mem.StateResident)
 	g.backend.Release(slot)
 	g.stats.SwapInPages++
-	ws := g.waiters[p]
+	g.wake(p)
+}
+
+// addWaiter queues done behind page p's in-flight swap-in. Waiter lists
+// are recycled through waiterFree, so a steady fault stream allocates none.
+func (g *Group) addWaiter(p mem.PageID, done func()) {
+	ws, ok := g.waiters[p]
+	if n := len(g.waiterFree); !ok && n > 0 {
+		ws = g.waiterFree[n-1]
+		g.waiterFree[n-1] = nil
+		g.waiterFree = g.waiterFree[:n-1]
+	}
+	g.waiters[p] = append(ws, done)
+}
+
+// wake runs page p's waiters in arrival order and recycles their list.
+func (g *Group) wake(p mem.PageID) {
+	ws, ok := g.waiters[p]
+	if !ok {
+		return
+	}
 	delete(g.waiters, p)
 	for _, w := range ws {
 		w()
 	}
+	clear(ws)
+	g.waiterFree = append(g.waiterFree, ws[:0])
 }
 
 // FaultInCluster swaps in a batch of pages with a single clustered device
@@ -489,7 +512,7 @@ func (g *Group) faultInClusterNow(pages []mem.PageID, done func()) {
 			offs = append(offs, g.table.SwapOffset(p))
 		case mem.StateFaulting:
 			pending++
-			g.waiters[p] = append(g.waiters[p], finish)
+			g.addWaiter(p, finish)
 		default:
 			// Already usable; nothing to read.
 		}
@@ -512,11 +535,7 @@ func (g *Group) faultInClusterNow(pages []mem.PageID, done func()) {
 			g.table.SetState(p, mem.StateResident)
 			g.backend.Release(offs[i])
 			g.stats.SwapInPages++
-			ws := g.waiters[p]
-			delete(g.waiters, p)
-			for _, w := range ws {
-				w()
-			}
+			g.wake(p)
 		}
 	})
 	// Release the setup guard now that all branches have registered their

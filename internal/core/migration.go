@@ -44,6 +44,14 @@ type Migration struct {
 	demandFlow *simnet.Flow // src -> dst: demand-page responses
 	ctrlFlow   *simnet.Flow // dst -> src: fault requests
 
+	// pushQ holds the page-carrying push-stream messages still on the wire,
+	// in send order (head-indexed FIFO). Every one is sent with the same
+	// bound callback, deliverPushF, which pops the head: the flow delivers
+	// in send order, so the head is always the message that just landed.
+	pushQ        []pushItem
+	pushHead     int
+	deliverPushF func()
+
 	state         phase
 	round         int
 	cursor        mem.PageID
@@ -91,6 +99,73 @@ type Migration struct {
 	// iterated, so map order cannot leak).
 	demandMeta map[mem.PageID]demandTrack
 	demandHist *metrics.Histogram
+}
+
+// pushKind is what a push-stream message carries.
+type pushKind uint8
+
+const (
+	pushFull      pushKind = iota // n full pages from p
+	pushOffset                    // an Agile offset record: p is at swap offset arg
+	pushUntouched                 // a zero-page record for p
+	pushScatter                   // n scatter records: p+i is at swap offset arg+i
+)
+
+// pushItem is one push-stream message still on the wire. A live round can
+// have a whole window of 16-byte records in flight, so the item is kept
+// to 12 bytes.
+type pushItem struct {
+	p mem.PageID
+	// arg is the swap offset of p for records, and the batch span (0: none)
+	// for full pages.
+	arg uint32
+	// n counts the pages or records; a run never exceeds pumpPagesPerTick.
+	n    uint16
+	kind pushKind
+}
+
+// sendPush offers one page-carrying message on the push stream. An item
+// the loss window drops is never queued, so the FIFO stays aligned with
+// the callbacks the flow will fire.
+func (m *Migration) sendPush(bytes int64, it pushItem) {
+	if m.pushFlow.SendMessage(bytes, m.deliverPushF) {
+		m.pushQ = append(m.pushQ, it)
+	}
+}
+
+// deliverPush lands the push stream's oldest message at the destination.
+func (m *Migration) deliverPush() {
+	it := m.pushQ[m.pushHead]
+	m.pushHead++
+	if m.pushHead == len(m.pushQ) {
+		m.pushQ, m.pushHead = m.pushQ[:0], 0
+	} else if m.pushHead >= len(m.pushQ)-m.pushHead {
+		m.pushQ = m.pushQ[:copy(m.pushQ, m.pushQ[m.pushHead:])]
+		m.pushHead = 0
+	}
+	switch it.kind {
+	case pushFull:
+		for i := mem.PageID(0); i < mem.PageID(it.n); i++ {
+			m.deliverFullPage(it.p + i)
+		}
+		if it.arg != 0 {
+			m.sp.End(m.eng.NowSeconds(), trace.SpanID(it.arg))
+		}
+	case pushOffset:
+		t := m.destTable
+		if t.State(it.p) == mem.StateUntouched {
+			// §IV-F: store the offset in the swap offset table and set the
+			// page's bit in the swapped bitmap.
+			t.SetSwapOffset(it.p, it.arg)
+			t.SetState(it.p, mem.StateSwapped)
+		}
+	case pushUntouched:
+		m.knownUntouched.Set(it.p)
+	case pushScatter:
+		for i := uint32(0); i < uint32(it.n); i++ {
+			m.deliverScatterRecord(it.p+mem.PageID(i), it.arg+i)
+		}
+	}
 }
 
 // demandTrack is the per-page demand-fault accounting record.
@@ -169,6 +244,7 @@ func Start(eng *sim.Engine, net *simnet.Network, tech Technique, spec Spec) *Mig
 		pendingDemand: make(map[mem.PageID][]func()),
 		downtimeBase:  vm.Downtime(),
 	}
+	m.deliverPushF = m.deliverPush
 	m.em = spec.Trace.Emitter(trace.ScopeVM, vm.Name())
 	m.sp = spec.Trace.SpanEmitter(trace.ScopeVM, vm.Name())
 	m.demandHist = spec.Metrics.Histogram(vm.Name()+"/demand.latency.seconds", metrics.DefaultLatencyBounds)
@@ -496,7 +572,7 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 		// A guest fault is already bringing the page in; join it.
 		m.srcGroup.FaultIn(p, func() {
 			m.faultInFlight--
-			m.sendFullPage(p, freeAfter)
+			m.sendFullPages(p, 1, freeAfter)
 		})
 		return
 	}
@@ -519,7 +595,7 @@ func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) 
 			if j > len(pages) {
 				j = len(pages)
 			}
-			m.sendFullPages(pages[i:j], freeAfter)
+			m.sendFullPages(pages[i], j-i, freeAfter)
 		}
 	})
 }
@@ -536,62 +612,39 @@ func (m *Migration) sendFullRun(p mem.PageID, bm *mem.Bitmap, budget int, freeAf
 		maxRun = budget
 	}
 	if maxRun <= 1 {
-		m.sendFullPage(p, freeAfter)
+		m.sendFullPages(p, 1, freeAfter)
 		return 1
 	}
-	run := []mem.PageID{p}
 	q := p + 1
-	for int(q) < m.nPages && len(run) < maxRun && bm.Test(q) && extend(m.srcTable.State(q)) {
+	for int(q) < m.nPages && int(q-p) < maxRun && bm.Test(q) && extend(m.srcTable.State(q)) {
 		bm.Clear(q)
-		run = append(run, q)
 		q++
 	}
 	m.cursor = q
-	m.sendFullPages(run, freeAfter)
-	return len(run)
+	m.sendFullPages(p, int(q-p), freeAfter)
+	return int(q - p)
 }
 
-// sendFullPages streams a run of pages as one message: the page bodies share
-// a single header frame, and delivery lands them at the destination in run
-// order. A single-page run takes the unbatched path exactly.
-func (m *Migration) sendFullPages(run []mem.PageID, freeAfter bool) {
-	if len(run) == 1 {
-		m.sendFullPage(run[0], freeAfter)
-		return
-	}
-	m.result.PagesSent += int64(len(run))
-	batch := append([]mem.PageID(nil), run...)
-	for _, q := range batch {
+// sendFullPages streams the n pages from p as one message: the page bodies
+// share a single header frame, and delivery lands them at the destination
+// in page order. freeAfter releases the source copies (active push and
+// demand service free source memory as they go).
+func (m *Migration) sendFullPages(p mem.PageID, n int, freeAfter bool) {
+	end := p + mem.PageID(n)
+	m.result.PagesSent += int64(n)
+	for q := p; q < end; q++ {
 		m.srcTable.ClearDirty(q)
 	}
-	var bsp trace.SpanID
-	if m.sp.Enabled() {
-		bsp = m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
-			trace.Num("pages", float64(len(batch))))
+	it := pushItem{p: p, n: uint16(n), kind: pushFull}
+	if n > 1 && m.sp.Enabled() {
+		it.arg = uint32(m.sp.Begin(m.eng.NowSeconds(), "batch", m.phaseSpan,
+			trace.Num("pages", float64(n))))
 	}
-	m.pushFlow.SendMessage(mem.PagesToBytes(len(batch))+pageHeaderBytes, func() {
-		for _, q := range batch {
-			m.deliverFullPage(q)
-		}
-		m.sp.End(m.eng.NowSeconds(), bsp)
-	})
+	m.sendPush(mem.PagesToBytes(n)+pageHeaderBytes, it)
 	if freeAfter {
-		for _, q := range batch {
+		for q := p; q < end; q++ {
 			m.freeSourcePage(q)
 		}
-	}
-}
-
-// sendFullPage streams one page; freeAfter releases the source copy (active
-// push and demand service free source memory as they go).
-func (m *Migration) sendFullPage(p mem.PageID, freeAfter bool) {
-	m.result.PagesSent++
-	m.srcTable.ClearDirty(p)
-	m.pushFlow.SendMessage(mem.PageSize+pageHeaderBytes, func() {
-		m.deliverFullPage(p)
-	})
-	if freeAfter {
-		m.freeSourcePage(p)
 	}
 }
 
@@ -600,24 +653,13 @@ func (m *Migration) sendOffsetRecord(p mem.PageID) {
 	m.result.OffsetRecords++
 	m.offsetSent.Set(p)
 	m.srcTable.ClearDirty(p)
-	off := m.srcTable.SwapOffset(p)
-	m.pushFlow.SendMessage(recordBytes, func() {
-		t := m.destTable
-		if t.State(p) == mem.StateUntouched {
-			// §IV-F: store the offset in the swap offset table and set the
-			// page's bit in the swapped bitmap.
-			t.SetSwapOffset(p, off)
-			t.SetState(p, mem.StateSwapped)
-		}
-	})
+	m.sendPush(recordBytes, pushItem{p: p, arg: m.srcTable.SwapOffset(p), kind: pushOffset})
 }
 
 // sendUntouchedRecord tells the destination the page reads as zeros.
 func (m *Migration) sendUntouchedRecord(p mem.PageID) {
 	m.result.UntouchedRecords++
-	m.pushFlow.SendMessage(recordBytes, func() {
-		m.knownUntouched.Set(p)
-	})
+	m.sendPush(recordBytes, pushItem{p: p, kind: pushUntouched})
 }
 
 // freeSourcePage releases the page's source memory once its content is on

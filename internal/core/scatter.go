@@ -146,7 +146,7 @@ func (m *Migration) scatterRun(p mem.PageID, budget int) int {
 		for _, r := range run {
 			m.freeSourcePage(r)
 		}
-		m.sendScatterRecords(run)
+		m.sendScatterRecords(p, len(run))
 	})
 	return len(run)
 }
@@ -172,20 +172,15 @@ func (m *Migration) scatterPage(p mem.PageID) {
 // resolve faults already waiting on the page.
 func (m *Migration) sendScatterRecord(p mem.PageID, off uint32) {
 	m.result.OffsetRecords++
-	m.pushFlow.SendMessage(recordBytes, func() {
-		m.deliverScatterRecord(p, off)
-	})
+	m.sendPush(recordBytes, pushItem{p: p, arg: off, n: 1, kind: pushScatter})
 }
 
-// sendScatterRecords ships one record per page of a batch-scattered run in
-// a single message (the records share the wire like the page bodies did).
-func (m *Migration) sendScatterRecords(run []mem.PageID) {
-	m.result.OffsetRecords += int64(len(run))
-	m.pushFlow.SendMessage(int64(len(run))*recordBytes, func() {
-		for _, p := range run {
-			m.deliverScatterRecord(p, uint32(p))
-		}
-	})
+// sendScatterRecords ships one record per page of the n batch-scattered
+// pages from p (each at its own namespace offset) in a single message: the
+// records share the wire like the page bodies did.
+func (m *Migration) sendScatterRecords(p mem.PageID, n int) {
+	m.result.OffsetRecords += int64(n)
+	m.sendPush(int64(n)*recordBytes, pushItem{p: p, arg: uint32(p), n: uint16(n), kind: pushScatter})
 }
 
 // deliverScatterRecord lands one swapped-bitmap record at the destination.

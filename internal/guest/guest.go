@@ -19,8 +19,10 @@ import (
 // hit (untouched, swapped, faulting, or — under a migration handler — not
 // yet received). If the handler can satisfy the access without waiting
 // (zero-page read, allocation on first write) it resolves the page and
-// returns true without calling done; otherwise it returns false and invokes
-// done exactly once when the access can proceed.
+// returns true without calling or keeping done; otherwise it returns false
+// and invokes done at most once, when the access can proceed. done is a
+// pooled record's bound method: calling it a second time, or after
+// returning true, corrupts a later fault.
 type FaultHandler interface {
 	HandleFault(vm *VM, p mem.PageID, write bool, done func()) (immediate bool)
 }
@@ -56,6 +58,47 @@ type VM struct {
 	// concurrent migration of the same VM would corrupt its page state, so
 	// core.Start refuses while the flag is up.
 	migrating bool
+
+	// faultFree recycles the per-fault completion records (see faultRec).
+	faultFree []*faultRec
+}
+
+// faultRec carries one stalled access to its completion. fireF is its fire
+// method, bound once, so a fault allocates no closure.
+type faultRec struct {
+	vm    *VM
+	p     mem.PageID
+	write bool
+	done  func()
+	fireF func()
+}
+
+// fire completes the stalled access. The record recycles before done runs,
+// so done may fault again and reuse it.
+func (r *faultRec) fire() {
+	vm, p, write, done := r.vm, r.p, r.write, r.done
+	vm.putFaultRec(r)
+	vm.hit(p, write)
+	if done != nil {
+		done()
+	}
+}
+
+func (vm *VM) getFaultRec() *faultRec {
+	if n := len(vm.faultFree); n > 0 {
+		r := vm.faultFree[n-1]
+		vm.faultFree[n-1] = nil
+		vm.faultFree = vm.faultFree[:n-1]
+		return r
+	}
+	r := &faultRec{vm: vm}
+	r.fireF = r.fire
+	return r
+}
+
+func (vm *VM) putFaultRec(r *faultRec) {
+	r.done = nil
+	vm.faultFree = append(vm.faultFree, r)
 }
 
 type pendedAccess struct {
@@ -199,12 +242,10 @@ func (vm *VM) Access(p mem.PageID, write bool, done func()) bool {
 		vm.hit(p, write)
 		return true
 	default:
-		if vm.handler.HandleFault(vm, p, write, func() {
-			vm.hit(p, write)
-			if done != nil {
-				done()
-			}
-		}) {
+		r := vm.getFaultRec()
+		r.p, r.write, r.done = p, write, done
+		if vm.handler.HandleFault(vm, p, write, r.fireF) {
+			vm.putFaultRec(r)
 			vm.hit(p, write)
 			return true
 		}

@@ -278,22 +278,24 @@ func (f *Flow) Send(bytes int64) {
 // after the flow latency behind any queued bytes. During a loss window on
 // either endpoint the message may be dropped: its bytes still travel (the
 // frame is sent but arrives corrupted), but fn never fires — callers with
-// at-least-once requirements pair SendMessage with a timeout.
-func (f *Flow) SendMessage(bytes int64, fn func()) {
+// at-least-once requirements pair SendMessage with a timeout. It reports
+// whether fn was queued: false for a nil fn, a closed flow (which drops the
+// bytes too) or a loss-window drop. A queued fn can still never fire if the
+// flow is closed before delivery.
+func (f *Flow) SendMessage(bytes int64, fn func()) bool {
 	if bytes < 0 {
 		panic("simnet: negative message size")
 	}
 	if f.closed {
-		return
+		return false
 	}
 	f.backlog += bytes
 	f.offered += bytes
-	if fn != nil && f.lost(bytes) {
-		fn = nil
+	if fn == nil || f.lost(bytes) {
+		return false
 	}
-	if fn != nil {
-		f.msgs = append(f.msgs, pendingMessage{endOffset: f.offered, fn: fn})
-	}
+	f.msgs = append(f.msgs, pendingMessage{endOffset: f.offered, fn: fn})
+	return true
 }
 
 // lost decides whether the message just offered falls inside a loss window

@@ -302,3 +302,42 @@ func TestFlowOfferedAccounting(t *testing.T) {
 		t.Fatalf("Delivered = %d", f.Delivered())
 	}
 }
+
+func TestSendMessageReportsQueued(t *testing.T) {
+	eng, net, nics := testNet(t, 1_000_000, "a", "b", "c")
+	f := net.NewFlow("f", nics["a"], nics["b"], 0)
+	fired := 0
+	if !f.SendMessage(100, func() { fired++ }) {
+		t.Fatal("SendMessage on an open, lossless flow reported not queued")
+	}
+	if f.SendMessage(100, nil) {
+		t.Fatal("SendMessage with a nil callback reported queued")
+	}
+	eng.Run(eng.Now() + 5)
+	if fired != 1 || f.Offered() != 200 {
+		t.Fatalf("fired %d, offered %d; want 1, 200", fired, f.Offered())
+	}
+
+	// A loss window that drops every message: the bytes are offered, the
+	// callback is not queued and never fires.
+	lossy := net.NewFlow("lossy", nics["a"], nics["c"], 0)
+	nics["c"].SetLossRate(1, 7)
+	if lossy.SendMessage(100, func() { fired++ }) {
+		t.Fatal("SendMessage reported queued for a message the loss window dropped")
+	}
+	eng.Run(eng.Now() + 5)
+	if fired != 1 || lossy.Offered() != 100 || lossy.Delivered() != 100 || nics["c"].MessagesLost() != 1 {
+		t.Fatalf("after drop: fired %d, offered %d, delivered %d, lost %d; want 1, 100, 100, 1",
+			fired, lossy.Offered(), lossy.Delivered(), nics["c"].MessagesLost())
+	}
+
+	// A closed flow queues nothing and, as Send does, ignores the bytes.
+	f.Close()
+	if f.SendMessage(100, func() { fired++ }) {
+		t.Fatal("SendMessage on a closed flow reported queued")
+	}
+	eng.Run(eng.Now() + 5)
+	if fired != 1 || f.Offered() != 200 {
+		t.Fatalf("after close: fired %d, offered %d; want 1, 200", fired, f.Offered())
+	}
+}

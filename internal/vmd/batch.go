@@ -381,6 +381,23 @@ func (ns *Namespace) ReadBatch(c *Client, offs []uint32, fn func()) {
 	}
 }
 
+// runRead is one batched read of a run on the wire: a pooled record like
+// readOp.
+type runRead struct {
+	v       *VMD
+	ns      *Namespace
+	c       *Client
+	s       *Server
+	link    *serverLink
+	first   uint32
+	n       int
+	each    func()
+	settled bool
+	refs
+
+	arriveF, diskF, pageF, timeoutF func()
+}
+
 // readRun fetches the n contiguous offsets from first on one server: a
 // request out, one batched page message back, with timeout-driven
 // per-page failover when fault tolerance is armed.
@@ -393,58 +410,93 @@ func (ns *Namespace) readRun(c *Client, s *Server, first uint32, n int, each fun
 	if ns.em.Enabled() {
 		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offsets %d..%d batched from %s via %s", first, last, s.name, c.name)
 	}
-	link := c.links[s.idx]
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			ns.failoverReads += int64(n)
-			if ns.em.Enabled() {
-				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDFailover, "batched read of %d pages from %s timed out, retrying per page", n, s.name)
-			}
-			for o := first; o <= last; o++ {
-				ns.readCopy(c, o, each)
-			}
-		})
+	r := v.runFree.pop()
+	if r == nil {
+		r = &runRead{v: v}
+		r.arriveF, r.diskF, r.pageF, r.timeoutF = r.arrive, r.diskDone, r.page, r.timeout
 	}
-	link.toServer.SendMessage(RequestBytes, func() {
-		if st.settled || s.down {
-			return
-		}
+	r.ns, r.c, r.s, r.link, r.first, r.n, r.each = ns, c, s, c.links[s.idx], first, n, each
+	if v.ft {
+		r.refs++
+		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
+	}
+	r.hold(r.link.toServer.SendMessage(RequestBytes, r.arriveF))
+}
+
+// release ends one queued callback, recycling the record after the last.
+func (r *runRead) release() {
+	if r.drop() {
+		*r = runRead{v: r.v, arriveF: r.arriveF, diskF: r.diskF, pageF: r.pageF, timeoutF: r.timeoutF}
+		r.v.runFree.push(r)
+	}
+}
+
+func (r *runRead) last() uint32 { return r.first + uint32(r.n) - 1 }
+
+// arrive runs when the request reaches the server.
+func (r *runRead) arrive() {
+	if !r.settled && !r.s.down {
+		ns, s := r.ns, r.s
 		diskN := 0
-		for o := first; o <= last; o++ {
+		for o := r.first; o <= r.last(); o++ {
 			if ns.placement[o] == s.idx && ns.onDisk.Test(mem.PageID(o)) {
 				diskN++
 			}
 		}
-		respond := func() {
-			s.pagesServed += int64(n)
-			link.fromServer.SendMessage(BatchMsgBytes(n), func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				for i := 0; i < n; i++ {
-					c.countRead(originRemote)
-					each()
-				}
-			})
-		}
 		if diskN > 0 {
 			s.diskServes += int64(diskN)
-			s.disk.Read(mem.PagesToBytes(diskN), func() {
-				for o := first; o <= last; o++ {
-					if ns.placement[o] == s.idx {
-						ns.maybePromote(s, o)
-					}
-				}
-				respond()
-			})
+			r.refs++
+			s.disk.Read(mem.PagesToBytes(diskN), r.diskF)
 		} else {
-			respond()
+			r.respond()
 		}
-	})
+	}
+	r.release()
+}
+
+func (r *runRead) diskDone() {
+	for o := r.first; o <= r.last(); o++ {
+		if r.ns.placement[o] == r.s.idx {
+			r.ns.maybePromote(r.s, o)
+		}
+	}
+	r.respond()
+	r.release()
+}
+
+func (r *runRead) respond() {
+	r.s.pagesServed += int64(r.n)
+	r.hold(r.link.fromServer.SendMessage(BatchMsgBytes(r.n), r.pageF))
+}
+
+// page runs when the batched page message reaches the client.
+func (r *runRead) page() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	c, n, each := r.c, r.n, r.each
+	r.release()
+	for i := 0; i < n; i++ {
+		c.countRead(originRemote)
+		each()
+	}
+}
+
+func (r *runRead) timeout() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	ns, c, first, last, each := r.ns, r.c, r.first, r.last(), r.each
+	ns.failoverReads += int64(r.n)
+	if ns.em.Enabled() {
+		ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDFailover, "batched read of %d pages from %s timed out, retrying per page", r.n, r.s.name)
+	}
+	r.release()
+	for o := first; o <= last; o++ {
+		ns.readCopy(c, o, each)
+	}
 }

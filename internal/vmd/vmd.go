@@ -97,6 +97,13 @@ type VMD struct {
 
 	rebalQ  []rebalanceMove
 	rebalOn bool // drip pump ticker currently registered
+
+	// Free lists of the pooled per-page wire records (see refs).
+	writeFree freeList[writeOp]
+	copyFree  freeList[copySend]
+	readFree  freeList[readOp]
+	runFree   freeList[runRead]
+	overFree  freeList[overwriteSend]
 }
 
 type peerKey struct{ from, to *Client }
@@ -1018,6 +1025,48 @@ func (v *VMD) landRepair(ns *Namespace, off uint32, src, dst *Server) (landed, o
 	return true, onDisk
 }
 
+// Every per-page request on the wire is a pooled record (writeOp,
+// copySend, readOp, runRead, overwriteSend) whose callbacks are method
+// values bound once, so the steady-state page path allocates nothing.
+// refs counts a pooled record's queued callbacks: each callback ends by
+// releasing its count, and the one that reaches zero recycles the record.
+// A callback the network drops (a loss window, a closed flow) is never
+// counted or never runs, so its record is simply left to the GC; a record
+// is never recycled twice.
+type refs int
+
+// hold counts one more queued callback when queued is true.
+func (n *refs) hold(queued bool) {
+	if queued {
+		*n++
+	}
+}
+
+// drop counts one callback done and reports whether it was the last.
+func (n *refs) drop() bool {
+	*n--
+	if *n < 0 {
+		panic("vmd: pooled record released more often than its callbacks were queued")
+	}
+	return *n == 0
+}
+
+// freeList is a LIFO of recycled records.
+type freeList[T any] []*T
+
+func (l *freeList[T]) pop() *T {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	r := (*l)[n-1]
+	(*l)[n-1] = nil
+	*l = (*l)[:n-1]
+	return r
+}
+
+func (l *freeList[T]) push(r *T) { *l = append(*l, r) }
+
 // sendState tracks one in-flight request so a timeout and a late response
 // cannot both act on it.
 type sendState struct {
@@ -1032,7 +1081,8 @@ type sendState struct {
 
 // writeOp is one logical page write: the primary copy plus K-1 replicas,
 // sharing a NACK/timeout exclusion set so a redirect never returns to a
-// server this op already knows is full, down or holding a copy.
+// server this op already knows is full, down or holding a copy. It is a
+// pooled record, recycled when its last copy settles.
 type writeOp struct {
 	ns       *Namespace
 	c        *Client
@@ -1044,6 +1094,8 @@ type writeOp struct {
 	pending  int    // copies not yet settled
 	already  bool   // offset was spilled/lost: ns.stored already counts it
 	counted  bool   // this op incremented ns.stored
+
+	settleF func()
 }
 
 // Write stores a page at the given offset through the given client (which
@@ -1092,13 +1144,16 @@ func (ns *Namespace) hasDegraded(off uint32) bool {
 // that already count the offset in ns.stored (the compressed tier's
 // writeback) pass alreadyStored.
 func (ns *Namespace) writeRemote(c *Client, off uint32, alreadyStored bool, fn func()) {
-	already := alreadyStored || ns.hasDegraded(off)
-	op := &writeOp{
-		ns: ns, c: c, off: off, fn: fn,
-		attempts: 2*len(c.links) + 2,
-		pending:  ns.k,
-		already:  already,
+	v := ns.vmd
+	op := v.writeFree.pop()
+	if op == nil {
+		op = &writeOp{}
+		op.settleF = op.settle
 	}
+	op.ns, op.c, op.off, op.fn = ns, c, off, fn
+	op.attempts = 2*len(c.links) + 2
+	op.pending = ns.k
+	op.already = alreadyStored || ns.hasDegraded(off)
 	op.sendCopy(true)
 	for j := 1; j < ns.k; j++ {
 		op.sendCopy(false)
@@ -1126,48 +1181,98 @@ func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
 	}
 }
 
+// overwriteSend is one in-place rewrite of an existing copy on the wire: a
+// pooled record like copySend.
+type overwriteSend struct {
+	v       *VMD
+	ns      *Namespace
+	c       *Client
+	s       *Server
+	link    *serverLink
+	off     uint32
+	onDisk  bool
+	fn      func()
+	settled bool
+	refs
+
+	arriveF, diskF, ackF, timeoutF func()
+}
+
 // sendOverwrite rewrites one existing copy. Overwrites never NACK (the
 // slot is already allocated); a timeout re-dispatches the whole write,
 // which re-resolves placement in case a crash moved the page meanwhile.
 func (ns *Namespace) sendOverwrite(c *Client, s *Server, off uint32, onDisk bool, fn func()) {
 	v := ns.vmd
-	link := c.links[s.idx]
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			c.retries++
-			ns.Write(c, off, fn)
-		})
+	r := v.overFree.pop()
+	if r == nil {
+		r = &overwriteSend{v: v}
+		r.arriveF, r.diskF, r.ackF, r.timeoutF = r.arrive, r.diskDone, r.ack, r.timeout
 	}
-	link.toServer.SendMessage(PageMsgBytes, func() {
-		if st.settled || s.down {
-			return
-		}
-		ack := func() {
-			s.pagesStored++
-			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.pagesWritten++
-				if fn != nil {
-					fn()
-				}
-			})
-		}
-		if onDisk {
+	r.ns, r.c, r.s, r.link, r.off, r.onDisk, r.fn = ns, c, s, c.links[s.idx], off, onDisk, fn
+	if v.ft {
+		r.refs++
+		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
+	}
+	r.hold(r.link.toServer.SendMessage(PageMsgBytes, r.arriveF))
+}
+
+// release ends one queued callback, recycling the record after the last.
+func (r *overwriteSend) release() {
+	if r.drop() {
+		*r = overwriteSend{v: r.v, arriveF: r.arriveF, diskF: r.diskF, ackF: r.ackF, timeoutF: r.timeoutF}
+		r.v.overFree.push(r)
+	}
+}
+
+// arrive runs when the page reaches the server.
+func (r *overwriteSend) arrive() {
+	if !r.settled && !r.s.down {
+		if r.onDisk {
 			// Overwrite of a spilled page stays on disk.
-			s.diskStores++
-			s.disk.Write(mem.PageSize, ack)
-			return
+			r.s.diskStores++
+			r.refs++
+			r.s.disk.Write(mem.PageSize, r.diskF)
+		} else {
+			r.sendAck()
 		}
-		ack()
-	})
+	}
+	r.release()
+}
+
+func (r *overwriteSend) diskDone() {
+	r.sendAck()
+	r.release()
+}
+
+func (r *overwriteSend) sendAck() {
+	r.s.pagesStored++
+	r.hold(r.link.fromServer.SendMessage(AckBytes, r.ackF))
+}
+
+func (r *overwriteSend) ack() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	r.c.pagesWritten++
+	fn := r.fn
+	r.release()
+	if fn != nil {
+		fn()
+	}
+}
+
+func (r *overwriteSend) timeout() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	r.c.retries++
+	ns, c, off, fn := r.ns, r.c, r.off, r.fn
+	r.release()
+	ns.Write(c, off, fn)
 }
 
 // sendCopy places one copy of the op's page: the primary drives the
@@ -1200,164 +1305,227 @@ func (op *writeOp) sendCopy(primary bool) {
 	op.send(s, primary)
 }
 
-// settle marks one copy finished; the write completes when all have.
+// settle marks one copy finished; the write completes when all have. The
+// op recycles before fn runs, so fn may issue new writes that reuse it.
 func (op *writeOp) settle() {
 	op.pending--
-	if op.pending == 0 && op.fn != nil {
-		op.fn()
+	if op.pending > 0 {
+		return
 	}
+	if op.pending < 0 {
+		panic("vmd: write settled more copies than it sent")
+	}
+	fn, v := op.fn, op.ns.vmd
+	*op = writeOp{settleF: op.settleF}
+	v.writeFree.push(op)
+	if fn != nil {
+		fn()
+	}
+}
+
+// copySend is one copy of a writeOp on the wire to one server. Its
+// callbacks (arrival at the server, disk-tier store, ack, NACK, timeout)
+// are method values bound once when the record is first allocated. It
+// keeps its own VMD pointer: a timeout that fires after the ack settled
+// the copy must not reach through the op, which may be recycled by then.
+type copySend struct {
+	v       *VMD
+	op      *writeOp
+	s       *Server
+	link    *serverLink
+	primary bool
+	charged bool // consumed one unit of link.freeHint
+	sendState
+	refs
+
+	arriveF, finishF, ackF, nackF, timeoutF func()
 }
 
 // send transmits one copy to the chosen server and handles ack, NACK and
 // (with fault tolerance armed) timeout.
 func (op *writeOp) send(s *Server, primary bool) {
-	ns := op.ns
-	c := op.c
-	v := ns.vmd
-	off := op.off
-	link := c.links[s.idx]
-	charged := false
-	if link.freeHint > 0 {
+	v := op.ns.vmd
+	r := v.copyFree.pop()
+	if r == nil {
+		r = &copySend{v: v}
+		r.arriveF, r.finishF, r.ackF, r.nackF, r.timeoutF = r.arrive, r.diskDone, r.ack, r.nack, r.timeout
+	}
+	r.op, r.s, r.primary = op, s, primary
+	r.link = op.c.links[s.idx]
+	if r.link.freeHint > 0 {
 		// Optimistic local accounting: the next gossip refreshes the true
 		// value, but in-flight writes already consume the budget.
-		charged = true
-		link.freeHint--
+		r.charged = true
+		r.link.freeHint--
 	}
-	st := &sendState{}
 	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			op.timeout(s, st, link, primary, charged)
-		})
+		r.refs++
+		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
 	}
-	link.toServer.SendMessage(PageMsgBytes, func() {
-		// Page arrived at the server.
-		if st.settled || s.down {
-			return
+	r.hold(r.link.toServer.SendMessage(PageMsgBytes, r.arriveF))
+}
+
+// release ends one queued callback, recycling the record after the last.
+func (r *copySend) release() {
+	if r.drop() {
+		*r = copySend{v: r.v, arriveF: r.arriveF, finishF: r.finishF, ackF: r.ackF, nackF: r.nackF, timeoutF: r.timeoutF}
+		r.v.copyFree.push(r)
+	}
+}
+
+// arrive runs when the page reaches the server.
+func (r *copySend) arrive() {
+	if !r.settled && !r.s.down {
+		r.store()
+	}
+	r.release()
+}
+
+// store lands the copy on the server, or NACKs it when the server is full.
+func (r *copySend) store() {
+	op, s, link, primary := r.op, r.s, r.link, r.primary
+	ns, off := op.ns, op.off
+	if s.freePages() <= 0 {
+		// NACK: server is actually full. The client retries on the
+		// next server in rotation.
+		s.rejects++
+		link.freeHint = 0
+		if ns.em.Enabled() {
+			ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying offset %d", s.name, op.c.name, off)
 		}
-		if s.freePages() <= 0 {
-			// NACK: server is actually full. The client retries on the
-			// next server in rotation.
-			s.rejects++
-			link.freeHint = 0
-			if ns.em.Enabled() {
-				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying offset %d", s.name, c.name, off)
+		r.hold(link.fromServer.SendMessage(AckBytes, r.nackF))
+		return
+	}
+	op.placed |= uint64(1) << uint(s.idx)
+	if primary {
+		ns.placement[off] = s.idx
+		ns.touch(off)
+		if op.already {
+			if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
+				ns.lost.Clear(mem.PageID(off))
+				ns.lostPages--
+				r.wasLost = true
 			}
-			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.retries++
-				op.nacked |= uint64(1) << uint(s.idx)
-				if primary {
-					op.attempts--
-				}
-				op.sendCopy(primary)
-			})
-			return
-		}
-		finish := func() {
-			s.pagesStored++
-			link.fromServer.SendMessage(AckBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.pagesWritten++
-				op.settle()
-			})
-		}
-		op.placed |= uint64(1) << uint(s.idx)
-		if primary {
-			ns.placement[off] = s.idx
-			ns.touch(off)
-			if op.already {
-				if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
-					ns.lost.Clear(mem.PageID(off))
-					ns.lostPages--
-					st.wasLost = true
-				}
-				if ns.spilled != nil && ns.spilled[off] != nil {
-					st.wasSpill = ns.spilled[off]
-					delete(ns.spilled, off)
-				}
-			} else if !op.counted {
-				ns.stored++
-				op.counted = true
+			if ns.spilled != nil && ns.spilled[off] != nil {
+				r.wasSpill = ns.spilled[off]
+				delete(ns.spilled, off)
 			}
+		} else if !op.counted {
+			ns.stored++
+			op.counted = true
 		}
-		// A replica that was on the wire when the primary's server crashed
-		// arrives after the page was written off as lost: its store
-		// resurrects the page, with this server as the new primary.
-		promote := !primary && ns.lost != nil && ns.placement[off] == noServer &&
-			ns.lost.Test(mem.PageID(off))
-		if promote {
-			ns.lost.Clear(mem.PageID(off))
-			ns.lostPages--
-			ns.placement[off] = s.idx
+	}
+	// A replica that was on the wire when the primary's server crashed
+	// arrives after the page was written off as lost: its store
+	// resurrects the page, with this server as the new primary.
+	promote := !primary && ns.lost != nil && ns.placement[off] == noServer &&
+		ns.lost.Test(mem.PageID(off))
+	if promote {
+		ns.lost.Clear(mem.PageID(off))
+		ns.lostPages--
+		ns.placement[off] = s.idx
+	}
+	if s.used < s.capacity {
+		s.used++
+		r.storedSrv = s
+		if !primary && !promote {
+			ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx})
 		}
-		if s.used < s.capacity {
-			s.used++
-			st.storedSrv = s
-			if !primary && !promote {
-				ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx})
-			}
-			finish()
-		} else {
-			// Memory full: spill to the server's disk tier. The ack
-			// departs after the local write completes.
-			s.diskUsed++
-			s.diskStores++
-			st.storedSrv, st.storedDisk = s, true
-			if primary || promote {
-				ns.onDisk.Set(mem.PageID(off))
-			} else {
-				ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx, onDisk: true})
-			}
-			s.disk.Write(mem.PageSize, finish)
-		}
-	})
+		r.sendAck()
+		return
+	}
+	// Memory full: spill to the server's disk tier. The ack departs
+	// after the local write completes.
+	s.diskUsed++
+	s.diskStores++
+	r.storedSrv, r.storedDisk = s, true
+	if primary || promote {
+		ns.onDisk.Set(mem.PageID(off))
+	} else {
+		ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx, onDisk: true})
+	}
+	r.refs++
+	s.disk.Write(mem.PageSize, r.finishF)
+}
+
+func (r *copySend) diskDone() {
+	r.sendAck()
+	r.release()
+}
+
+func (r *copySend) sendAck() {
+	r.s.pagesStored++
+	r.hold(r.link.fromServer.SendMessage(AckBytes, r.ackF))
+}
+
+func (r *copySend) ack() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	op := r.op
+	op.c.pagesWritten++
+	r.release()
+	op.settle()
+}
+
+func (r *copySend) nack() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	op, primary := r.op, r.primary
+	op.c.retries++
+	op.nacked |= uint64(1) << uint(r.s.idx)
+	if primary {
+		op.attempts--
+	}
+	r.release()
+	op.sendCopy(primary)
 }
 
 // timeout abandons an unanswered copy and redirects it. If the store had
 // landed but the ack was lost or stalled, the server-side lease expires
 // and the slot is reclaimed so accounting stays exact.
-func (op *writeOp) timeout(s *Server, st *sendState, link *serverLink, primary, charged bool) {
-	if st.settled {
+func (r *copySend) timeout() {
+	if r.settled {
+		r.release()
 		return
 	}
-	st.settled = true
-	ns := op.ns
-	off := op.off
-	if st.storedSrv != nil {
-		if !st.storedSrv.down {
-			if st.storedDisk {
-				st.storedSrv.diskUsed--
+	r.settled = true
+	op, s, primary := r.op, r.s, r.primary
+	ns, off := op.ns, op.off
+	if r.storedSrv != nil {
+		if !r.storedSrv.down {
+			if r.storedDisk {
+				r.storedSrv.diskUsed--
 			} else {
-				st.storedSrv.used--
+				r.storedSrv.used--
 			}
 		}
 		if primary {
 			if ns.placement[off] == s.idx {
 				ns.placement[off] = noServer
-				if st.storedDisk {
+				if r.storedDisk {
 					ns.onDisk.Clear(mem.PageID(off))
 				}
 				// The store consumed the offset's spilled/lost state; the
 				// redirect needs it back or a read in the gap finds nothing.
-				if st.wasLost && ns.lost != nil {
+				if r.wasLost && ns.lost != nil {
 					ns.lost.Set(mem.PageID(off))
 					ns.lostPages++
 				}
-				if st.wasSpill != nil {
-					ns.spilled[off] = st.wasSpill
+				if r.wasSpill != nil {
+					ns.spilled[off] = r.wasSpill
 				}
 			}
 		} else if ns.placement[off] == s.idx {
 			// This replica store resurrected a lost page and became its
 			// primary; abandoning it puts the page back on the lost gauge.
 			ns.placement[off] = noServer
-			if st.storedDisk {
+			if r.storedDisk {
 				ns.onDisk.Clear(mem.PageID(off))
 			}
 			if ns.lost != nil {
@@ -1368,16 +1536,17 @@ func (op *writeOp) timeout(s *Server, st *sendState, link *serverLink, primary, 
 			ns.removeCopy(off, s.idx)
 		}
 		op.placed &^= uint64(1) << uint(s.idx)
-	} else if charged {
+	} else if r.charged {
 		// The write never landed: hand its optimistic hint charge back so
 		// the server is not under-counted until the next gossip.
-		link.freeHint++
+		r.link.freeHint++
 	}
 	op.nacked |= uint64(1) << uint(s.idx)
 	op.c.retries++
 	if primary {
 		op.attempts--
 	}
+	r.release()
 	op.sendCopy(primary)
 }
 
@@ -1404,9 +1573,7 @@ func (op *writeOp) spillPrimary() {
 	}
 	ns.spilledPages++
 	ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDSpill, "offset %d spilled to %s local disk (pool exhausted)", op.off, c.name)
-	c.spillIO().Write(mem.PageSize, func() {
-		op.settle()
-	})
+	c.spillIO().Write(mem.PageSize, op.settleF)
 }
 
 // pickServer implements load-aware round robin over the gossiped hints.
@@ -1537,6 +1704,23 @@ func (ns *Namespace) serveStaged(pf *prefetcher, c *Client, off uint32, fn func(
 	})
 }
 
+// readOp is one single-page read on the wire: a pooled record whose
+// callbacks (request arrival, disk-tier read, page delivery, timeout) are
+// method values bound once, like copySend's.
+type readOp struct {
+	v       *VMD
+	ns      *Namespace
+	c       *Client
+	s       *Server
+	link    *serverLink
+	off     uint32
+	fn      func()
+	settled bool
+	refs
+
+	arriveF, diskF, pageF, timeoutF func()
+}
+
 // readCopy resolves the offset's current primary and issues the read, with
 // timeout-driven failover onto the next copy when fault tolerance is armed
 // (each retry re-resolves, so a crash promotion mid-flight is picked up).
@@ -1559,49 +1743,81 @@ func (ns *Namespace) readCopy(c *Client, off uint32, fn func()) {
 	if ns.em.Enabled() {
 		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offset %d from %s via %s", off, s.name, c.name)
 	}
-	link := c.links[s.idx]
-	st := &sendState{}
-	if v.ft {
-		v.eng.AfterSeconds(v.ftTimeout, func() {
-			if st.settled {
-				return
-			}
-			st.settled = true
-			ns.failoverReads++
-			if ns.em.Enabled() {
-				ns.em.Emitf(v.eng.NowSeconds(), trace.VMDFailover, "read of offset %d from %s timed out, retrying", off, s.name)
-			}
-			ns.readCopy(c, off, fn)
-		})
+	r := v.readFree.pop()
+	if r == nil {
+		r = &readOp{v: v}
+		r.arriveF, r.diskF, r.pageF, r.timeoutF = r.arrive, r.diskDone, r.page, r.timeout
 	}
-	link.toServer.SendMessage(RequestBytes, func() {
-		if st.settled || s.down {
-			return
-		}
-		respond := func() {
-			s.pagesServed++
-			link.fromServer.SendMessage(PageMsgBytes, func() {
-				if st.settled {
-					return
-				}
-				st.settled = true
-				c.countRead(originRemote)
-				if fn != nil {
-					fn()
-				}
-			})
-		}
-		if ns.onDisk.Test(mem.PageID(off)) {
+	r.ns, r.c, r.s, r.link, r.off, r.fn = ns, c, s, c.links[s.idx], off, fn
+	if v.ft {
+		r.refs++
+		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
+	}
+	r.hold(r.link.toServer.SendMessage(RequestBytes, r.arriveF))
+}
+
+// release ends one queued callback, recycling the record after the last.
+func (r *readOp) release() {
+	if r.drop() {
+		*r = readOp{v: r.v, arriveF: r.arriveF, diskF: r.diskF, pageF: r.pageF, timeoutF: r.timeoutF}
+		r.v.readFree.push(r)
+	}
+}
+
+// arrive runs when the request reaches the server.
+func (r *readOp) arrive() {
+	if !r.settled && !r.s.down {
+		if r.ns.onDisk.Test(mem.PageID(r.off)) {
 			// Spilled page: the server reads its local disk first.
-			s.diskServes++
-			s.disk.Read(mem.PageSize, func() {
-				ns.maybePromote(s, off)
-				respond()
-			})
-			return
+			r.s.diskServes++
+			r.refs++
+			r.s.disk.Read(mem.PageSize, r.diskF)
+		} else {
+			r.respond()
 		}
-		respond()
-	})
+	}
+	r.release()
+}
+
+func (r *readOp) diskDone() {
+	r.ns.maybePromote(r.s, r.off)
+	r.respond()
+	r.release()
+}
+
+func (r *readOp) respond() {
+	r.s.pagesServed++
+	r.hold(r.link.fromServer.SendMessage(PageMsgBytes, r.pageF))
+}
+
+// page runs when the page body reaches the client.
+func (r *readOp) page() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	r.c.countRead(originRemote)
+	fn := r.fn
+	r.release()
+	if fn != nil {
+		fn()
+	}
+}
+
+func (r *readOp) timeout() {
+	if r.settled {
+		r.release()
+		return
+	}
+	r.settled = true
+	ns, c, off, fn := r.ns, r.c, r.off, r.fn
+	ns.failoverReads++
+	if ns.em.Enabled() {
+		ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDFailover, "read of offset %d from %s timed out, retrying", off, r.s.name)
+	}
+	r.release()
+	ns.readCopy(c, off, fn)
 }
 
 // spillHolder returns the client holding the offset's spilled copy, or nil.
