@@ -11,13 +11,16 @@ test:
 # Re-run the BENCH_kernel.json benchmarks: the raw single-engine tick
 # rate, the 64-host sharded-cluster scaling run (1/2/4/8 shards), the
 # VMD demand-read path (flat vs batched+readahead store), the VMD remote
-# write round trip and the core push stream's cost per page.
+# write round trip, the core push stream's cost per page, simnet's cost
+# per delivered message and cgroup's clustered swap-in.
 # Compare the printed numbers against the history in BENCH_kernel.json.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineTicksPerSecond -benchtime 3s -count 3 ./internal/sim/
 	$(GO) test -run '^$$' -bench BenchmarkShardedClusterTicksPerSecond -count 3 ./internal/cluster/
 	$(GO) test -run '^$$' -bench 'BenchmarkVMD(DemandRead|Write)' -count 3 ./internal/vmd/
 	$(GO) test -run '^$$' -bench BenchmarkCorePushPage -count 3 ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkSimnetDeliver -count 3 ./internal/simnet/
+	$(GO) test -run '^$$' -bench BenchmarkCgroupFaultInCluster -count 3 ./internal/cgroup/
 
 # Run the agilelint suite (detrand, maporder, emitnil, unitcheck,
 # tickdrift, shardsafe, plus the flow-sensitive dettaint, phasecheck and

@@ -10,6 +10,7 @@ package blockdev
 import (
 	"fmt"
 
+	"agilemig/internal/fifo"
 	"agilemig/internal/metrics"
 	"agilemig/internal/sim"
 )
@@ -25,28 +26,6 @@ type request struct {
 	fn        func()
 }
 
-// reqQueue is a FIFO of requests popped from the head in O(1); the dead
-// prefix is compacted away once it outweighs the live tail, so a busy
-// stream's queue never degrades into an O(n²) shift-per-pop.
-type reqQueue struct {
-	q    []request
-	head int
-}
-
-func (q *reqQueue) len() int        { return len(q.q) - q.head }
-func (q *reqQueue) front() *request { return &q.q[q.head] }
-func (q *reqQueue) push(r request)  { q.q = append(q.q, r) }
-func (q *reqQueue) pop() {
-	q.q[q.head] = request{} // release fn for GC
-	q.head++
-	if q.head == len(q.q) {
-		q.q, q.head = q.q[:0], 0
-	} else if q.head >= len(q.q)-q.head {
-		q.q = q.q[:copy(q.q, q.q[q.head:])]
-		q.head = 0
-	}
-}
-
 // Stream is one requester's queue pair on a device. Reads and writes
 // queue separately: synchronous reads (page faults) are served before
 // asynchronous write-back, the way deadline-style I/O schedulers
@@ -55,8 +34,8 @@ func (q *reqQueue) pop() {
 type Stream struct {
 	dev  *Device
 	name string
-	rq   reqQueue // reads
-	wq   reqQueue // writes
+	rq   fifo.Queue[request] // reads
+	wq   fifo.Queue[request] // writes
 }
 
 // Device is a bandwidth- and IOPS-limited block device with round-robin
@@ -155,14 +134,14 @@ func (s *Stream) submit(write bool, bytes int64, fn func()) {
 	}
 	r := request{write: write, remaining: bytes, fn: fn}
 	if write {
-		s.wq.push(r)
+		s.wq.Push(r)
 	} else {
-		s.rq.push(r)
+		s.rq.Push(r)
 	}
 }
 
 // QueueLen returns the stream's waiting/in-service request count.
-func (s *Stream) QueueLen() int { return s.rq.len() + s.wq.len() }
+func (s *Stream) QueueLen() int { return s.rq.Len() + s.wq.Len() }
 
 // QueueLen returns the number of requests waiting or in service across all
 // streams.
@@ -211,7 +190,7 @@ func (d *Device) Tick(_ sim.Time) {
 	}
 	writesWaiting := false
 	for _, s := range d.streams {
-		if s.wq.len() > 0 {
+		if s.wq.Len() > 0 {
 			writesWaiting = true
 			break
 		}
@@ -277,14 +256,14 @@ func (d *Device) servePass(budget int64, writes bool) int64 {
 		if writes {
 			q = &s.wq
 		}
-		if q.len() == 0 {
+		if q.Len() == 0 {
 			emptyRun++
 			continue
 		}
 		emptyRun = 0
 		slot := drrQuantum
-		for slot > 0 && remaining > 0 && q.len() > 0 {
-			r := q.front()
+		for slot > 0 && remaining > 0 && q.Len() > 0 {
+			r := q.Front()
 			if !r.started {
 				if d.iopsCred < 1 {
 					return budget - remaining
@@ -325,7 +304,8 @@ func (d *Device) servePass(budget int64, writes bool) int64 {
 					d.eng.After(1, fn)
 				}
 			}
-			q.pop()
+			q.Pop()
+			q.Compact()
 		}
 	}
 	return budget - remaining

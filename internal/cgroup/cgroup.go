@@ -16,6 +16,7 @@ package cgroup
 import (
 	"fmt"
 
+	"agilemig/internal/fifo"
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
 	"agilemig/internal/sim"
@@ -76,15 +77,12 @@ type Group struct {
 	// (the kernel makes allocating tasks do direct reclaim). This is the
 	// back-pressure that turns overcommit into throughput collapse instead
 	// of an unbounded resident set.
-	// throttled is drained from thrHead instead of re-slicing on every pop,
-	// so a deep backlog (tens of thousands of entries under full thrash)
-	// drains in O(n) instead of O(n²). Entries are small values, not heap
-	// objects: under sustained thrash the backlog legitimately holds many
-	// entries per page (every repeated touch of a swapped page defers one
-	// admission, and each must consume its own drain slot), so a per-entry
-	// allocation would cost gigabytes over a long run.
-	throttled       []throttledEntry
-	thrHead         int
+	// Entries are small values, not heap objects: under sustained thrash
+	// the backlog legitimately holds many entries per page (every repeated
+	// touch of a swapped page defers one admission, and each must consume
+	// its own drain slot), so a per-entry allocation would cost gigabytes
+	// over a long run.
+	throttled       fifo.Queue[throttledEntry]
 	evictSinceAdmit int
 
 	stats Stats
@@ -95,6 +93,7 @@ type Group struct {
 	victimScratch []mem.PageID
 	evictFree     []*evictRec
 	faultFree     []*faultRec
+	clusterFree   []*clusterRec
 	waiterFree    [][]func()
 
 	// em receives reservation-change and swap-full events; nil (the
@@ -118,9 +117,27 @@ type faultRec struct {
 	readF func()
 }
 
+// clusterRec carries one clustered swap-in from admission to its last
+// page: through the throttled queue (runF), the device read (readF) and
+// every joined in-flight page (finishF). It recycles when its last pending
+// step finishes, which is never before the device read's done has fired,
+// since backends may hold offs until then.
+type clusterRec struct {
+	g *Group
+	// pages is the caller's batch, copied; run filters it in place down to
+	// the pages this record reads, whose slots are offs.
+	pages   []mem.PageID
+	offs    []uint32
+	done    func()
+	pending int
+	runF    func()
+	readF   func()
+	finishF func()
+}
+
 // throttledEntry is one deferred fault admission: either a page fault
-// (faultInNow(p, done) when drained) or a raw deferred closure (run, used
-// by clustered fault admission).
+// (faultInNow(p, done) when drained) or a deferred run (a clusterRec's
+// bound run method, for clustered fault admission).
 type throttledEntry struct {
 	p    mem.PageID
 	done func()
@@ -266,27 +283,15 @@ func (g *Group) NextWake(now sim.Time) (sim.Time, bool) {
 }
 
 func (g *Group) drainThrottled(n int) {
-	for i := 0; i < n && g.thrHead < len(g.throttled); i++ {
-		e := g.throttled[g.thrHead]
-		g.throttled[g.thrHead] = throttledEntry{}
-		g.thrHead++
-		if g.thrHead == len(g.throttled) {
-			g.throttled = g.throttled[:0]
-			g.thrHead = 0
-		}
+	for i := 0; i < n && g.throttled.Len() > 0; i++ {
+		e := g.throttled.Pop()
 		if e.run != nil {
 			e.run()
 		} else {
 			g.faultInNow(e.p, e.done)
 		}
 	}
-	// Compact once the dead prefix outweighs the live tail, so a queue with
-	// a persistent backlog (admissions arriving as fast as they drain) stays
-	// bounded instead of growing its backing array forever.
-	if g.thrHead > 0 && g.thrHead >= len(g.throttled)-g.thrHead {
-		g.throttled = g.throttled[:copy(g.throttled, g.throttled[g.thrHead:])]
-		g.thrHead = 0
-	}
+	g.throttled.Compact()
 }
 
 // admit runs a fault immediately when the group is near its reservation,
@@ -296,12 +301,12 @@ func (g *Group) admit(run func()) {
 		run()
 		return
 	}
-	g.throttled = append(g.throttled, throttledEntry{run: run})
+	g.throttled.Push(throttledEntry{run: run})
 }
 
 // ThrottledFaults returns how many fault admissions are currently waiting
 // on reclaim progress.
-func (g *Group) ThrottledFaults() int { return len(g.throttled) - g.thrHead }
+func (g *Group) ThrottledFaults() int { return g.throttled.Len() }
 
 func (g *Group) startEviction(p mem.PageID) {
 	slot, ok := g.backend.SlotFor(p)
@@ -395,7 +400,7 @@ func (g *Group) FaultIn(p mem.PageID, done func()) {
 		g.faultInNow(p, done)
 		return
 	}
-	g.throttled = append(g.throttled, throttledEntry{p: p, done: done})
+	g.throttled.Push(throttledEntry{p: p, done: done})
 }
 
 func (g *Group) newFaultRec() *faultRec {
@@ -488,59 +493,86 @@ func (g *Group) wake(p mem.PageID) {
 // read (swap readahead). Pages already in flight are joined, pages already
 // usable are skipped; done runs once every page of the batch is usable.
 // Admission is subject to the same direct-reclaim throttling as FaultIn.
+// The batch is copied, so the caller may reuse pages once this returns.
 func (g *Group) FaultInCluster(pages []mem.PageID, done func()) {
-	g.admit(func() { g.faultInClusterNow(pages, done) })
+	var r *clusterRec
+	if n := len(g.clusterFree); n > 0 {
+		r = g.clusterFree[n-1]
+		g.clusterFree[n-1] = nil
+		g.clusterFree = g.clusterFree[:n-1]
+	} else {
+		r = &clusterRec{g: g}
+		r.runF, r.readF, r.finishF = r.run, r.readDone, r.finish
+	}
+	r.pages = append(r.pages[:0], pages...)
+	r.done = done
+	g.admit(r.runF)
 }
 
-func (g *Group) faultInClusterNow(pages []mem.PageID, done func()) {
+// run is the admitted swap-in.
+func (r *clusterRec) run() {
+	g := r.g
 	// Re-validate: while the admission waited, some pages may have been
 	// resolved by other means (a concurrent fault, an arriving copy).
-	pending := 1
-	finish := func() {
-		pending--
-		if pending == 0 && done != nil {
-			done()
-		}
-	}
-	var batch []mem.PageID
-	var offs []uint32
-	for _, p := range pages {
+	r.pending = 1
+	batch := r.pages[:0]
+	r.offs = r.offs[:0]
+	for _, p := range r.pages {
 		switch g.table.State(p) {
 		case mem.StateSwapped:
 			g.table.SetState(p, mem.StateFaulting)
 			batch = append(batch, p)
-			offs = append(offs, g.table.SwapOffset(p))
+			r.offs = append(r.offs, g.table.SwapOffset(p))
 		case mem.StateFaulting:
-			pending++
-			g.addWaiter(p, finish)
+			r.pending++
+			g.addWaiter(p, r.finishF)
 		default:
 			// Already usable; nothing to read.
 		}
 	}
+	r.pages = batch
 	if len(batch) == 0 {
-		finish()
+		r.finish()
 		return
 	}
-	pending++
-	snapshot := batch
-	g.backend.ReadCluster(offs, func() {
-		defer finish()
-		if g.disabled {
-			return
-		}
-		for i, p := range snapshot {
-			if g.table.State(p) != mem.StateFaulting {
-				continue
-			}
-			g.table.SetState(p, mem.StateResident)
-			g.backend.Release(offs[i])
-			g.stats.SwapInPages++
-			g.wake(p)
-		}
-	})
+	r.pending++
+	g.backend.ReadCluster(r.offs, r.readF)
 	// Release the setup guard now that all branches have registered their
 	// own pending counts.
-	finish()
+	r.finish()
+}
+
+// readDone runs when the clustered device read completes.
+func (r *clusterRec) readDone() {
+	defer r.finish()
+	g := r.g
+	if g.disabled {
+		return
+	}
+	for i, p := range r.pages {
+		if g.table.State(p) != mem.StateFaulting {
+			continue
+		}
+		g.table.SetState(p, mem.StateResident)
+		g.backend.Release(r.offs[i])
+		g.stats.SwapInPages++
+		g.wake(p)
+	}
+}
+
+// finish ends one pending step; the last one recycles the record and then
+// runs the caller's done.
+func (r *clusterRec) finish() {
+	r.pending--
+	if r.pending > 0 {
+		return
+	}
+	g, done := r.g, r.done
+	r.done = nil
+	g.clusterFree = append(g.clusterFree, r)
+	if done != nil {
+		done()
+	}
 }
 
 // SwapRateWindow helps compute the pages-per-second swap rate over a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"agilemig/internal/cgroup"
+	"agilemig/internal/fifo"
 	"agilemig/internal/guest"
 	"agilemig/internal/mem"
 	"agilemig/internal/metrics"
@@ -45,11 +46,23 @@ type Migration struct {
 	ctrlFlow   *simnet.Flow // dst -> src: fault requests
 
 	// pushQ holds the page-carrying push-stream messages still on the wire,
-	// in send order (head-indexed FIFO). Every one is sent with the same
-	// bound callback, deliverPushF, which pops the head: the flow delivers
-	// in send order, so the head is always the message that just landed.
-	pushQ        []pushItem
-	pushHead     int
+	// in send order. Every one is sent with the same bound callback,
+	// deliverPushF, which pops the head: the flow delivers in send order,
+	// so the head is always the message that just landed.
+	//
+	// Its length is bounded by the model. The pumps stop at windowBytes of
+	// unsent backlog, so at most windowBytes plus one message is waiting to
+	// be transmitted, and at most (latency+1) ticks of NIC egress is in
+	// transit. Every item is at least recordBytes long, so
+	//
+	//	len(pushQ) <= (windowBytes + largest message + (latency+1) × egress bytes per tick) / recordBytes
+	//
+	// plus, on the pre/post-copy swap-in paths, the full pages of at most
+	// maxSwapInFlight clusters whose swap-ins complete outside the window.
+	// With Agile's 16-byte records that is ~131 K items, but most runs never
+	// come near it, so the queue grows by doubling instead of being
+	// preallocated at the bound in every Migration.
+	pushQ        fifo.Queue[pushItem]
 	deliverPushF func()
 
 	state         phase
@@ -67,6 +80,7 @@ type Migration struct {
 	offsetSent     *mem.Bitmap
 
 	faultInFlight     int // migration-driven swap-ins at the source
+	swapInFree        []*swapInRec
 	scatterInFlight   int // scatter-gather: VMD writes in flight
 	outstandingDemand int // demand responses in flight
 	pendingDemand     map[mem.PageID][]func()
@@ -129,20 +143,14 @@ type pushItem struct {
 // the callbacks the flow will fire.
 func (m *Migration) sendPush(bytes int64, it pushItem) {
 	if m.pushFlow.SendMessage(bytes, m.deliverPushF) {
-		m.pushQ = append(m.pushQ, it)
+		m.pushQ.Push(it)
 	}
 }
 
 // deliverPush lands the push stream's oldest message at the destination.
 func (m *Migration) deliverPush() {
-	it := m.pushQ[m.pushHead]
-	m.pushHead++
-	if m.pushHead == len(m.pushQ) {
-		m.pushQ, m.pushHead = m.pushQ[:0], 0
-	} else if m.pushHead >= len(m.pushQ)-m.pushHead {
-		m.pushQ = m.pushQ[:copy(m.pushQ, m.pushQ[m.pushHead:])]
-		m.pushHead = 0
-	}
+	it := m.pushQ.Pop()
+	m.pushQ.Compact()
 	switch it.kind {
 	case pushFull:
 		for i := mem.PageID(0); i < mem.PageID(it.n); i++ {
@@ -565,39 +573,70 @@ func (m *Migration) armDrainCheck() {
 // readahead cluster's worth of consecutive swapped pages still pending in
 // bm — and streams the batch when it lands. p has already been cleared
 // from bm; the cluster members are cleared here. The caller has verified
-// the in-flight bound.
+// the in-flight bound, so at most maxSwapInFlight records are out at once.
 func (m *Migration) swapInAndSend(p mem.PageID, bm *mem.Bitmap, freeAfter bool) {
 	m.faultInFlight++
+	r := m.newSwapIn(p, freeAfter)
 	if m.srcTable.State(p) == mem.StateFaulting {
 		// A guest fault is already bringing the page in; join it.
-		m.srcGroup.FaultIn(p, func() {
-			m.faultInFlight--
-			m.sendFullPages(p, 1, freeAfter)
-		})
+		m.srcGroup.FaultIn(p, r.sendF)
 		return
 	}
-	pages := []mem.PageID{p}
-	for q := p + 1; int(q) < m.nPages && len(pages) < swapInCluster; q++ {
+	for q := p + 1; int(q) < m.nPages && r.n < swapInCluster; q++ {
 		if !bm.Test(q) || m.srcTable.State(q) != mem.StateSwapped {
 			break
 		}
 		bm.Clear(q)
-		pages = append(pages, q)
+		r.n++
 	}
-	m.srcGroup.FaultInCluster(pages, func() {
-		m.faultInFlight--
-		step := m.tun.BatchPages
-		if step < 1 {
-			step = 1
+	var pages [swapInCluster]mem.PageID // FaultInCluster copies it
+	for i := range pages[:r.n] {
+		pages[i] = p + mem.PageID(i)
+	}
+	m.srcGroup.FaultInCluster(pages[:r.n], r.sendF)
+}
+
+// swapInRec carries one migration-driven swap-in of the n consecutive
+// pages from p until they are resident and sent.
+type swapInRec struct {
+	m         *Migration
+	p         mem.PageID
+	n         int
+	freeAfter bool
+	sendF     func()
+}
+
+func (m *Migration) newSwapIn(p mem.PageID, freeAfter bool) *swapInRec {
+	var r *swapInRec
+	if n := len(m.swapInFree); n > 0 {
+		r = m.swapInFree[n-1]
+		m.swapInFree[n-1] = nil
+		m.swapInFree = m.swapInFree[:n-1]
+	} else {
+		r = &swapInRec{m: m}
+		r.sendF = r.send
+	}
+	r.p, r.n, r.freeAfter = p, 1, freeAfter
+	return r
+}
+
+// send streams the swapped-in pages in BatchPages runs. The record
+// recycles first (the swap-in completes exactly once).
+func (r *swapInRec) send() {
+	m, p, n, freeAfter := r.m, r.p, r.n, r.freeAfter
+	m.swapInFree = append(m.swapInFree, r)
+	m.faultInFlight--
+	step := m.tun.BatchPages
+	if step < 1 {
+		step = 1
+	}
+	for i := 0; i < n; i += step {
+		j := i + step
+		if j > n {
+			j = n
 		}
-		for i := 0; i < len(pages); i += step {
-			j := i + step
-			if j > len(pages) {
-				j = len(pages)
-			}
-			m.sendFullPages(pages[i], j-i, freeAfter)
-		}
-	})
+		m.sendFullPages(p+mem.PageID(i), j-i, freeAfter)
+	}
 }
 
 // sendFullRun streams a run of consecutive in-memory pages starting at p as

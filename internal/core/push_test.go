@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 
+	"agilemig/internal/blockdev"
+	"agilemig/internal/cgroup"
+	"agilemig/internal/host"
 	"agilemig/internal/mem"
 	"agilemig/internal/sim"
 	"agilemig/internal/simnet"
@@ -47,8 +50,53 @@ func TestPushPathAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, push); n != 0 {
 		t.Errorf("%v allocs per full page + offset record + untouched record, want 0", n)
 	}
-	if m.pushHead != len(m.pushQ) {
-		t.Fatalf("%d push messages still queued after delivery", len(m.pushQ)-m.pushHead)
+	if n := m.pushQ.Len(); n != 0 {
+		t.Fatalf("%d push messages still queued after delivery", n)
+	}
+}
+
+// TestSwapInAndSendAllocatesNothing drives the pre-copy swap-in path
+// through the shared SSD partition: a cluster of swapped pages faulted in
+// with one readahead read and streamed, and a page already being faulted
+// in by the guest, joined. Neither may allocate once the pools are warm.
+func TestSwapInAndSendAllocatesNothing(t *testing.T) {
+	const pages = 256
+	eng, _, m := newPushRig(pages)
+	h := host.New(eng, m.net, host.Config{Name: "src", RAMBytes: gib, NetBytesPerSec: gbps})
+	h.ConfigureSharedSwap(blockdev.Config{Name: "ssd", BytesPerSecond: 60 * mib, IOPS: 10_000}, gib)
+	be := h.SharedSwapBackend()
+	m.srcGroup = cgroup.New(eng, "src/vm", m.srcTable, be, pages*mem.PageSize)
+	bm := mem.NewBitmap(pages)
+	swapOut := func(p mem.PageID) {
+		slot, _ := be.SlotFor(p)
+		m.srcTable.SetState(p, mem.StateSwapped)
+		m.srcTable.SetSwapOffset(p, slot)
+	}
+	p := mem.PageID(0)
+	lap := func() {
+		for q := p; q < p+swapInCluster+1; q++ {
+			swapOut(q)
+			bm.Set(q)
+		}
+		bm.Clear(p)
+		m.swapInAndSend(p, bm, false) // clusters p .. p+swapInCluster-1
+		m.srcGroup.FaultIn(p+swapInCluster, nil)
+		bm.Clear(p + swapInCluster)
+		m.swapInAndSend(p+swapInCluster, bm, false) // joins the guest's fault
+		eng.Run(eng.Now() + 50)
+		p = (p + swapInCluster + 1) % (pages - swapInCluster - 1)
+	}
+	for i := 0; i < 100; i++ {
+		lap()
+	}
+	if n := testing.AllocsPerRun(100, lap); n != 0 {
+		t.Errorf("%v allocs per swapped-in cluster and joined fault, want 0", n)
+	}
+	if m.faultInFlight != 0 || m.pushQ.Len() != 0 {
+		t.Fatalf("%d swap-ins and %d push messages still in flight", m.faultInFlight, m.pushQ.Len())
+	}
+	if want := int64(201 * (swapInCluster + 1)); m.result.PagesSent != want {
+		t.Fatalf("%d pages sent, want %d", m.result.PagesSent, want)
 	}
 }
 
@@ -103,4 +151,45 @@ func BenchmarkCorePushPage(b *testing.B) {
 	if m.result.PagesSent != int64(b.N) {
 		b.Fatalf("%d/%d pages sent", m.result.PagesSent, b.N)
 	}
+}
+
+// TestPushQueueWithinModelBound runs an Agile migration whose live round
+// sends most of the VM as 16-byte offset records over a rate-capped stream
+// with link latency, so records pile up to the send window, and checks the
+// push queue's high-water mark against the bound documented on pushQ.
+func TestPushQueueWithinModelBound(t *testing.T) {
+	r := newRig(t, rigOpt{vmBytes: 1 * gib, datasetBytes: 800 * mib, resBytes: 400 * mib, agileSwap: true})
+	const latency = 5
+	spec := Spec{
+		VM:                   r.vm,
+		Source:               r.src,
+		Dest:                 r.dst,
+		DestReservationBytes: r.vm.Group().ReservationBytes(),
+		DestBackend:          r.dstVMDBackend(),
+		Namespace:            r.ns,
+		Latency:              latency,
+		Tuning:               Tuning{BandwidthCapBytesPerSec: 20 * mib},
+		OnComplete:           func(res *Result) { r.result = res },
+	}
+	r.mig = Start(r.eng, r.net, Agile, spec)
+	hwm := 0
+	r.eng.AddTickerFunc(sim.PhaseWorkload, func(sim.Time) {
+		if n := r.mig.pushQ.Len(); n > hwm {
+			hwm = n
+		}
+	})
+	r.wait(t, 600)
+	if r.result.OffsetRecords == 0 {
+		t.Fatal("no offset records sent")
+	}
+	egressPerTick := int64(float64(gbps) / r.eng.TicksPerSecond())
+	largest := int64(mem.PageSize + pageHeaderBytes) // BatchPages 0: one page per message
+	bound := (windowBytes + largest + (latency+1)*egressPerTick) / recordBytes
+	if int64(hwm) > bound {
+		t.Fatalf("push queue high-water mark %d exceeds the model bound %d", hwm, bound)
+	}
+	if int64(hwm) < windowBytes/recordBytes/4 {
+		t.Fatalf("push queue high-water mark %d: records never queued near the send window (%d records)", hwm, windowBytes/recordBytes)
+	}
+	t.Logf("push queue high-water mark %d of bound %d (%d offset records)", hwm, bound, r.result.OffsetRecords)
 }

@@ -216,6 +216,8 @@ func (m *Migration) startGatherPrefetch() {
 	m.open(&gsp, "gather", m.rootSpan)
 	var cursor mem.PageID
 	inFlight := 0
+	landed := func() { inFlight-- }
+	batch := make([]mem.PageID, 0, swapInCluster) // FaultInCluster copies it
 	done := false
 	// The hint mirrors the tick body's guards exactly: whenever the body
 	// would fall through without touching cursor/inFlight (finished, fetch
@@ -236,7 +238,7 @@ func (m *Migration) startGatherPrefetch() {
 		headroom := mem.BytesToPages(m.destGroup.ReservationBytes()) - m.destTable.InRAM()
 		for inFlight < maxSwapInFlight && headroom > 0 {
 			// Collect the next cluster of swapped pages.
-			var batch []mem.PageID
+			batch = batch[:0]
 			for p := cursor; int(p) < m.nPages && len(batch) < swapInCluster; p++ {
 				cursor = p + 1
 				if m.destTable.State(p) == mem.StateSwapped {
@@ -252,7 +254,7 @@ func (m *Migration) startGatherPrefetch() {
 			}
 			inFlight++
 			headroom -= len(batch)
-			m.destGroup.FaultInCluster(batch, func() { inFlight-- })
+			m.destGroup.FaultInCluster(batch, landed)
 		}
 	}, hint)
 }

@@ -16,6 +16,7 @@ package simnet
 import (
 	"fmt"
 
+	"agilemig/internal/fifo"
 	"agilemig/internal/metrics"
 	"agilemig/internal/sim"
 	"agilemig/internal/trace"
@@ -27,6 +28,9 @@ type Network struct {
 	eng   *sim.Engine
 	nics  []*NIC
 	flows []*Flow
+	// msgFree holds the message queues of closed flows, emptied, for the
+	// next flow that queues a message.
+	msgFree []fifo.Queue[pendingMessage]
 
 	// arbitration scratch, reused across ticks to keep the per-tick path
 	// allocation-free
@@ -197,13 +201,14 @@ type Flow struct {
 	delivered int64 // cumulative delivered bytes
 	closed    bool
 
-	// transit and msgs are FIFO queues popped from the head; trHead/msgHead
-	// index the live head so a pop is O(1) instead of shifting the slice
-	// (migrations queue tens of thousands of page messages on one flow).
-	transit []inFlight
-	trHead  int
-	msgs    []pendingMessage
-	msgHead int
+	// transit holds the bytes on the wire in arrival order, at most one
+	// entry per tick of latency; inTransit is their sum.
+	transit   fifo.Queue[inFlight]
+	inTransit int64
+	// msgs holds the pending message callbacks in send order. A migration
+	// stream queues a whole send window of 16-byte records on it; the queue
+	// is taken from the network's free list and returned there on Close.
+	msgs fifo.Queue[pendingMessage]
 
 	// capBpt, when positive, limits the flow's transmission rate to that
 	// many bytes per tick regardless of the fair share the arbiter would
@@ -294,8 +299,24 @@ func (f *Flow) SendMessage(bytes int64, fn func()) bool {
 	if fn == nil || f.lost(bytes) {
 		return false
 	}
-	f.msgs = append(f.msgs, pendingMessage{endOffset: f.offered, fn: fn})
+	if f.msgs.Cap() == 0 {
+		f.msgs = f.net.takeMsgQueue()
+	}
+	f.msgs.Push(pendingMessage{endOffset: f.offered, fn: fn})
 	return true
+}
+
+// takeMsgQueue returns an empty message queue from the free list, or a
+// zero queue (no storage) when the list is empty.
+func (n *Network) takeMsgQueue() fifo.Queue[pendingMessage] {
+	k := len(n.msgFree)
+	if k == 0 {
+		return fifo.Queue[pendingMessage]{}
+	}
+	q := n.msgFree[k-1]
+	n.msgFree[k-1] = fifo.Queue[pendingMessage]{}
+	n.msgFree = n.msgFree[:k-1]
+	return q
 }
 
 // lost decides whether the message just offered falls inside a loss window
@@ -320,16 +341,24 @@ func (f *Flow) lost(bytes int64) bool {
 }
 
 // Close drops any undelivered traffic and ignores future sends. Pending
-// message callbacks never fire. The migration engines close their flows
+// message callbacks never fire: the message queue is cleared and goes back
+// to the network's free list. The migration engines close their flows
 // when a migration completes or aborts.
 func (f *Flow) Close() {
-	if !f.closed && f.net != nil && f.net.em.Enabled() {
+	if f.closed {
+		return
+	}
+	if f.net.em.Enabled() {
 		f.net.em.Emitf(f.net.eng.NowSeconds(), trace.FlowClose, "%s (%d bytes delivered)", f.name, f.delivered)
 	}
 	f.closed = true
 	f.backlog = 0
-	f.transit, f.trHead = nil, 0
-	f.msgs, f.msgHead = nil, 0
+	f.transit, f.inTransit = fifo.Queue[inFlight]{}, 0
+	if f.msgs.Cap() > 0 {
+		f.msgs.Reset()
+		f.net.msgFree = append(f.net.msgFree, f.msgs)
+		f.msgs = fifo.Queue[pendingMessage]{}
+	}
 }
 
 // Closed reports whether the flow has been closed.
@@ -345,13 +374,7 @@ func (f *Flow) Delivered() int64 { return f.delivered }
 func (f *Flow) Offered() int64 { return f.offered }
 
 // InFlight returns bytes transmitted but not yet delivered.
-func (f *Flow) InFlight() int64 {
-	var t int64
-	for _, x := range f.transit[f.trHead:] {
-		t += x.bytes
-	}
-	return t
-}
+func (f *Flow) InFlight() int64 { return f.inTransit }
 
 // Tick delivers due bytes and then arbitrates this tick's bandwidth.
 func (n *Network) Tick(now sim.Time) {
@@ -379,12 +402,12 @@ func (n *Network) NextWake(now sim.Time) (sim.Time, bool) {
 		if f.backlog > 0 {
 			return now + 1, true
 		}
-		if f.msgHead < len(f.msgs) && f.msgs[f.msgHead].endOffset <= f.delivered {
+		if f.msgs.Len() > 0 && f.msgs.Front().endOffset <= f.delivered {
 			return now + 1, true
 		}
-		// transit is appended in arrival order, so the head is earliest.
-		if f.trHead < len(f.transit) && f.transit[f.trHead].arrive < wake {
-			wake = f.transit[f.trHead].arrive
+		// transit is queued in arrival order, so the head is earliest.
+		if f.transit.Len() > 0 && f.transit.Front().arrive < wake {
+			wake = f.transit.Front().arrive
 		}
 	}
 	return wake, true
@@ -395,35 +418,19 @@ func (n *Network) deliver(now sim.Time) {
 		if f.closed || f.dst.down {
 			continue
 		}
-		for f.trHead < len(f.transit) && f.transit[f.trHead].arrive <= now {
-			f.delivered += f.transit[f.trHead].bytes
-			f.dst.ingressBytes += f.transit[f.trHead].bytes
-			f.trHead++
+		for f.transit.Len() > 0 && f.transit.Front().arrive <= now {
+			bytes := f.transit.Pop().bytes
+			f.inTransit -= bytes
+			f.delivered += bytes
+			f.dst.ingressBytes += bytes
 		}
-		if f.trHead > 0 {
-			// Compact so appends reuse capacity instead of growing forever
-			// (amortized O(1): only when the dead head outweighs the tail).
-			if f.trHead == len(f.transit) {
-				f.transit, f.trHead = f.transit[:0], 0
-			} else if f.trHead >= len(f.transit)-f.trHead {
-				f.transit = f.transit[:copy(f.transit, f.transit[f.trHead:])]
-				f.trHead = 0
-			}
+		f.transit.Compact()
+		// A callback may send on this flow (growing its queue) or close it
+		// (emptying it), so the loop re-reads the queue on every pass.
+		for f.msgs.Len() > 0 && f.msgs.Front().endOffset <= f.delivered {
+			f.msgs.Pop().fn()
 		}
-		for f.msgHead < len(f.msgs) && f.msgs[f.msgHead].endOffset <= f.delivered {
-			fn := f.msgs[f.msgHead].fn
-			f.msgs[f.msgHead].fn = nil // release for GC; the slice is reused
-			f.msgHead++
-			fn() // may append to f.msgs or close the flow
-		}
-		if f.msgHead > 0 {
-			if f.msgHead == len(f.msgs) {
-				f.msgs, f.msgHead = f.msgs[:0], 0
-			} else if f.msgHead >= len(f.msgs)-f.msgHead {
-				f.msgs = f.msgs[:copy(f.msgs, f.msgs[f.msgHead:])]
-				f.msgHead = 0
-			}
-		}
+		f.msgs.Compact()
 	}
 }
 
@@ -534,7 +541,8 @@ func (n *Network) arbitrate() {
 		}
 		f.backlog -= bytes
 		f.src.egressBytes += bytes
-		f.transit = append(f.transit, inFlight{arrive: now + 1 + sim.Time(f.latency), bytes: bytes})
+		f.transit.Push(inFlight{arrive: now + 1 + sim.Time(f.latency), bytes: bytes})
+		f.inTransit += bytes
 	}
 }
 
