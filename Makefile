@@ -11,8 +11,9 @@ test:
 # Re-run the BENCH_kernel.json benchmarks: the raw single-engine tick
 # rate, the 64-host sharded-cluster scaling run (1/2/4/8 shards), the
 # VMD demand-read path (flat vs batched+readahead store), the VMD remote
-# write round trip, the core push stream's cost per page, simnet's cost
-# per delivered message and cgroup's clustered swap-in.
+# write round trip (a page and a 32-page run), the core push stream's
+# cost per page, simnet's cost per delivered message and cgroup's
+# clustered swap-in.
 # Compare the printed numbers against the history in BENCH_kernel.json.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkEngineTicksPerSecond -benchtime 3s -count 3 ./internal/sim/

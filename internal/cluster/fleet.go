@@ -5,6 +5,7 @@ import (
 
 	"agilemig/internal/blockdev"
 	"agilemig/internal/core"
+	"agilemig/internal/ctlplane"
 	"agilemig/internal/dist"
 	"agilemig/internal/metrics"
 	"agilemig/internal/sim"
@@ -54,11 +55,11 @@ type FleetConfig struct {
 	MaxOpsPerSecond float64
 	WriteFraction   float64
 
-	// MigrationTimeoutSeconds, when positive, arms a per-cell watchdog at
-	// each migration's start: a migration that has not reached switchover
-	// by the deadline is aborted and rolled back to its source, and the
-	// cell reports Outcome "aborted" instead of blocking the fleet forever.
-	// Zero disables the watchdog (the historical behaviour).
+	// MigrationTimeoutSeconds, when positive, is each cell Migration's
+	// switchover deadline (ctlplane.Spec.TimeoutSeconds): a migration that
+	// has not reached switchover by then is aborted and rolled back to its
+	// source, and the cell reports Outcome "aborted" instead of blocking
+	// the fleet forever. Zero sets no deadline.
 	MigrationTimeoutSeconds float64
 	// Faults, when non-empty, is a per-cell fault schedule with the same
 	// target vocabulary as Config.Faults: "source", "dest", "clients" and
@@ -145,21 +146,20 @@ const (
 	FleetOutcomeUnfinished = "unfinished"
 )
 
-// fleetCell is one migration cell: a testbed on its shard's engine, and
-// the one VM it evacuates.
+// fleetCell is one migration cell: a testbed on its shard's engine, the
+// one VM it evacuates, and the controller its Migration is submitted to.
 type fleetCell struct {
 	tb  *Testbed
 	vm  *VMHandle
+	ctl *ctlplane.Controller
 	row FleetRow
-	// abortReason is set (on the cell's shard) before the watchdog calls
-	// Abort, so the completion callback can attribute the rollback.
-	abortReason string
 }
 
 // Fleet is the assembled evacuation cluster: Cells independent migration
 // cells sharded over a sim.ShardGroup, plus an evacuation controller on
-// shard 0 that staggers the migration start commands over control links
-// and stops the run once every cell reports completion.
+// shard 0 that staggers the start commands over control links — each one
+// submits the cell's Migration to the cell's own ctlplane.Controller —
+// and stops the run once every cell reports a terminal Migration.
 type Fleet struct {
 	Cfg   FleetConfig
 	Group *sim.ShardGroup
@@ -233,10 +233,12 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		f.cells = append(f.cells, c)
 	}
 
-	// The controller: one staggered start command per cell, issued from
-	// shard 0. The completion handler is commutative (a count and a stop
-	// timer), as same-tick cross-shard arrivals drain in source-shard
-	// order — see the §6g proof obligations.
+	// The evacuation controller: one staggered start command per cell,
+	// issued from shard 0 one tick before the stagger point, so the cell
+	// controller's reconcile (one tick after the Submit) launches on it.
+	// The completion handler is commutative (a count and a stop timer), as
+	// same-tick cross-shard arrivals drain in source-shard order — see the
+	// §6g proof obligations.
 	eng0 := g.Engine(0)
 	stagger := eng0.SecondsToTicks(cfg.StaggerSeconds)
 	if stagger < 1 {
@@ -245,12 +247,24 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	warmup := eng0.SecondsToTicks(cfg.WarmupSeconds)
 	for i, c := range f.cells {
 		c := c
-		at := sim.Time(warmup) + sim.Time(int64(i)*int64(stagger))
+		at := sim.Time(warmup) + sim.Time(int64(i)*int64(stagger)) - 1
 		link := starts[c.row.Shard]
 		back := dones[c.row.Shard]
+		c.ctl = ctlplane.NewController(c.tb.Eng, c.tb, ctlplane.Config{
+			OnTerminal: func(m *ctlplane.Migration) {
+				c.finish(m)
+				back.Send(0, f.cellCompleted)
+			},
+		})
 		eng0.Schedule(at, func() {
 			link.Send(0, func() {
-				f.startCell(c, func() { back.Send(0, f.cellCompleted) })
+				c.ctl.Submit(ctlplane.Spec{
+					VM:                   c.vm.VM.Name(),
+					Technique:            core.Agile,
+					DestHost:             c.tb.Dest.Name(),
+					DestReservationBytes: cfg.ReservationBytes,
+					TimeoutSeconds:       cfg.MigrationTimeoutSeconds,
+				})
 			})
 		})
 	}
@@ -270,49 +284,26 @@ func (f *Fleet) cellFaulted(i int) bool {
 	return false
 }
 
-// startCell runs on the cell's own shard when the controller's start
-// command arrives: it records the start time and launches the Agile
-// migration, wiring onDone to fire (still on the cell's shard) when the
-// migration reaches a terminal state.
-func (f *Fleet) startCell(c *fleetCell, onDone func()) {
-	eng := c.tb.Eng
-	c.row.StartedAtSeconds = eng.NowSeconds()
-	_, err := c.tb.Launch(c.vm.VM.Name(), c.tb.Dest.Name(), core.Agile, f.Cfg.ReservationBytes, 0,
-		func(res *core.Result) {
-			// Everything in the row is read at the completion tick, on the
-			// cell's shard — deterministic however long the run continues.
-			c.row.DoneAtSeconds = eng.NowSeconds()
-			c.row.TotalSeconds = res.TotalSeconds
-			c.row.DowntimeSeconds = res.DowntimeSeconds
-			c.row.BytesTransferred = res.BytesTransferred
-			c.row.OpsAtComplete = c.vm.Client.OpsCompleted()
-			if res.Aborted {
-				c.row.Outcome = FleetOutcomeAborted
-				c.row.Reason = c.abortReason
-				if c.row.Reason == "" {
-					c.row.Reason = "rolled back to source"
-				}
-			} else {
-				c.row.Outcome = FleetOutcomeCompleted
-			}
-			onDone()
-		})
-	if err != nil {
+// finish fills the cell's row from its terminal Migration, on the cell's
+// shard at the terminal tick — deterministic however long the run
+// continues.
+func (c *fleetCell) finish(m *ctlplane.Migration) {
+	st := m.Status
+	if st.Phase == ctlplane.PhaseFailed {
 		// Each cell migrates its one VM once, onto a host it built.
-		panic(err)
+		panic(st.Reason)
 	}
-	if f.Cfg.MigrationTimeoutSeconds > 0 {
-		m := c.vm.Migration
-		deadline := f.Cfg.MigrationTimeoutSeconds
-		eng.AfterSeconds(deadline, func() {
-			if m.Done() || m.Switched() {
-				// Finished, rolled back, or past the point of no return (a
-				// switched migration finishes at destination pace).
-				return
-			}
-			c.abortReason = fmt.Sprintf("no switchover within %.0fs; rolled back", deadline)
-			m.Abort()
-		})
+	res := st.Result
+	c.row.StartedAtSeconds = st.StartedAtSeconds
+	c.row.DoneAtSeconds = st.FinishedAtSeconds
+	c.row.TotalSeconds = res.TotalSeconds
+	c.row.DowntimeSeconds = res.DowntimeSeconds
+	c.row.BytesTransferred = res.BytesTransferred
+	c.row.OpsAtComplete = c.vm.Client.OpsCompleted()
+	c.row.Outcome = FleetOutcomeCompleted
+	if st.Phase == ctlplane.PhaseAborted {
+		c.row.Outcome = FleetOutcomeAborted
+		c.row.Reason = st.Reason
 	}
 }
 
@@ -368,7 +359,8 @@ func (f *Fleet) RunEvacuation(maxSeconds float64) EvacuationResult {
 		default:
 			res.Unfinished++
 			c.row.Outcome = FleetOutcomeUnfinished
-			if c.row.StartedAtSeconds > 0 {
+			if ms := c.ctl.Migrations(); len(ms) > 0 && ms[0].Status.StartedAtSeconds >= 0 {
+				c.row.StartedAtSeconds = ms[0].Status.StartedAtSeconds
 				c.row.Reason = fmt.Sprintf("still in flight at %.0fs", now)
 			} else {
 				c.row.Reason = "never started"

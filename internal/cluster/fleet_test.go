@@ -142,7 +142,7 @@ func TestShardedFleetIsolatedSinks(t *testing.T) {
 
 // faultedFleetConfig afflicts cell 2 of a four-cell fleet with a VMD
 // server crash and a loss window on its source NIC, both timed around the
-// cell's migration start (warmup + 2 staggers). The watchdog bounds the
+// cell's migration start (warmup + 2 staggers). The deadline bounds the
 // run should the faults wedge the migration.
 func faultedFleetConfig(shards int) FleetConfig {
 	cfg := testFleetConfig(4, shards)

@@ -223,7 +223,7 @@ func TestAbortUnderConcurrentControllerLoad(t *testing.T) {
 }
 
 // TestFleetSurfacesPerCellFailure: a cell whose source NIC is down past
-// the migration watchdog must report an aborted row with a reason, and the
+// the switchover deadline must report an aborted row with a reason, and the
 // evacuation result must distinguish the partial failure from success. On
 // main the fleet counted the aborted cell as done and RunEvacuation
 // returned a bare true.

@@ -19,6 +19,9 @@ type Config struct {
 	// Trace, when non-nil, receives a CtlPhase event for every phase
 	// transition.
 	Trace *trace.Trace
+	// OnTerminal, when non-nil, runs once per object as it reaches a
+	// terminal phase, after FinishedAtSeconds and Result are set.
+	OnTerminal func(*Migration)
 }
 
 // Controller reconciles submitted Migration objects against the cluster.
@@ -136,8 +139,7 @@ func (c *Controller) Abort(name, reason string) bool {
 	}
 	if m.Status.Phase == PhasePending {
 		m.Status.Reason = reason
-		c.transition(m, PhaseAborted)
-		m.Status.FinishedAtSeconds = c.eng.NowSeconds()
+		c.finish(m, PhaseAborted)
 		return true
 	}
 	if m.handle == nil || m.handle.Switched() {
@@ -303,8 +305,7 @@ func (c *Controller) launch(m *Migration, dest string) {
 		func(res *core.Result) { c.onDone(m, res) })
 	if err != nil {
 		m.Status.Reason = err.Error()
-		c.transition(m, PhaseFailed)
-		m.Status.FinishedAtSeconds = c.eng.NowSeconds()
+		c.finish(m, PhaseFailed)
 		// The slot this launch consumed is free again; without a re-kick a
 		// synchronous failure with nothing Running would strand the
 		// remaining Pending objects (reconciles otherwise only follow
@@ -323,7 +324,7 @@ func (c *Controller) launch(m *Migration, dest string) {
 			if m.Status.Phase.Terminal() || m.handle.Switched() {
 				return
 			}
-			m.Status.Reason = fmt.Sprintf("deadline exceeded: no switchover within %.0fs", deadline)
+			m.Status.Reason = fmt.Sprintf("no switchover within %.0fs; rolled back", deadline)
 			m.handle.Abort()
 		})
 	}
@@ -332,17 +333,26 @@ func (c *Controller) launch(m *Migration, dest string) {
 // onDone is the data plane's completion callback.
 func (c *Controller) onDone(m *Migration, res *core.Result) {
 	m.Status.Result = res
-	m.Status.FinishedAtSeconds = c.eng.NowSeconds()
 	c.running--
 	if res != nil && res.Aborted {
 		if m.Status.Reason == "" {
 			m.Status.Reason = "rolled back to source"
 		}
-		c.transition(m, PhaseAborted)
+		c.finish(m, PhaseAborted)
 	} else {
-		c.transition(m, PhaseSucceeded)
+		c.finish(m, PhaseSucceeded)
 	}
 	c.kick() // a slot freed — admit the next Pending object
+}
+
+// finish stamps the object's finish time, moves it to a terminal phase
+// and reports it to OnTerminal.
+func (c *Controller) finish(m *Migration, to Phase) {
+	m.Status.FinishedAtSeconds = c.eng.NowSeconds()
+	c.transition(m, to)
+	if c.cfg.OnTerminal != nil {
+		c.cfg.OnTerminal(m)
+	}
 }
 
 // transition moves the object to a new phase and traces it.

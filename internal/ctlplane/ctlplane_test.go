@@ -178,6 +178,43 @@ func TestTimeoutAborts(t *testing.T) {
 	}
 }
 
+// TestOnTerminalFiresOncePerObject: the hook sees every object exactly
+// once, after its finish time and result are set, whichever way it ends:
+// completion, the switchover deadline, or a rejected launch.
+func TestOnTerminalFiresOncePerObject(t *testing.T) {
+	eng := sim.NewEngine(1)
+	fc := newFake(3)
+	seen := map[string]int{}
+	ctl := NewController(eng, fc, Config{Policy: GreedyFreeRAM{}, OnTerminal: func(m *Migration) {
+		seen[m.Name]++
+		if !m.Status.Phase.Terminal() || m.Status.FinishedAtSeconds < 0 {
+			t.Errorf("%s reported in phase %s, finished at %v", m.Name, m.Status.Phase, m.Status.FinishedAtSeconds)
+		}
+		if m.Status.Phase != PhaseFailed && m.Status.Result == nil {
+			t.Errorf("%s reported %s without its result", m.Name, m.Status.Phase)
+		}
+	}})
+	ok := ctl.Submit(spec("vma"))
+	late := spec("vmb")
+	late.TimeoutSeconds = 5
+	slow := ctl.Submit(late)
+	eng.RunSeconds(1)
+	fc.failNext = errors.New("no room")
+	failed := ctl.Submit(spec("vmc"))
+	eng.RunSeconds(1)
+	fc.launched[0].complete()
+	eng.RunSeconds(10) // vmb's deadline aborts it
+	want := map[*Migration]Phase{ok: PhaseSucceeded, slow: PhaseAborted, failed: PhaseFailed}
+	for m, phase := range want {
+		if m.Status.Phase != phase || seen[m.Name] != 1 {
+			t.Errorf("%s: phase %s, reported %d times; want %s, once", m.Name, m.Status.Phase, seen[m.Name], phase)
+		}
+	}
+	if slow.Status.Reason != "no switchover within 5s; rolled back" {
+		t.Errorf("deadline reason %q", slow.Status.Reason)
+	}
+}
+
 func TestTimeoutSparesSwitchedMigration(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fc := newFake(1)

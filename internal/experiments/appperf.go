@@ -22,9 +22,18 @@ const (
 // String names the workload as the paper's tables do.
 func (k WorkloadKind) String() string {
 	if k == WorkloadSysbench {
-		return "Sysbench (Trans/s)"
+		return "Sysbench"
 	}
-	return "YCSB/Redis (Ops/s)"
+	return "YCSB/Redis"
+}
+
+// throughputUnit is the unit of the workload's Table I row; Tables II and
+// III are in seconds and MB for both workloads.
+func (k WorkloadKind) throughputUnit() string {
+	if k == WorkloadSysbench {
+		return "Trans/s"
+	}
+	return "Ops/s"
 }
 
 // AppPerfConfig shapes one Tables I-III cell: 4 VMs under memory pressure,
@@ -168,11 +177,15 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		return nil
 	}
 	techs := []core.Technique{core.PreCopy, core.PostCopy, core.Agile}
-	printTable := func(title string, value func(*AppPerfResult) string) {
+	printTable := func(title string, withUnit bool, value func(*AppPerfResult) string) {
 		fmt.Fprintln(w, title)
 		fmt.Fprintf(w, "%-22s%12s%12s%12s\n", "", "Pre-copy", "Post-copy", "Agile")
 		for _, wk := range []WorkloadKind{WorkloadYCSB, WorkloadSysbench} {
-			fmt.Fprintf(w, "%-22s", wk)
+			label := wk.String()
+			if withUnit {
+				label += " (" + wk.throughputUnit() + ")"
+			}
+			fmt.Fprintf(w, "%-22s", label)
 			for _, tech := range techs {
 				v := "-"
 				if r := cell(wk, tech); r != nil {
@@ -184,10 +197,10 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		}
 		fmt.Fprintln(w)
 	}
-	printTable("Table I: average application performance across all 4 VMs", func(r *AppPerfResult) string {
+	printTable("Table I: average application performance across all 4 VMs", true, func(r *AppPerfResult) string {
 		return fmt.Sprintf("%.2f", r.AvgOpsPerSec)
 	})
-	printTable("Table II: total migration time (seconds)", func(r *AppPerfResult) string {
+	printTable("Table II: total migration time (seconds)", false, func(r *AppPerfResult) string {
 		if r.Migration == nil {
 			return "-"
 		}
@@ -199,7 +212,7 @@ func PrintAppPerfTables(w io.Writer, results []*AppPerfResult) {
 		}
 		return fmt.Sprintf("%.2f", r.Migration.TotalSeconds)
 	})
-	printTable("Table III: amount of data transferred (MB)", func(r *AppPerfResult) string {
+	printTable("Table III: amount of data transferred (MB)", false, func(r *AppPerfResult) string {
 		if r.Migration == nil {
 			return "-"
 		}

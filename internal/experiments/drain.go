@@ -253,7 +253,7 @@ func runDrainPolicy(opt DrainOptions, pol ctlplane.PlacementPolicy) DrainPolicyR
 
 // runDrainRack is the fleet-scale phase: a full rack evacuation with the
 // PR-4 fault plan active on one cell — its source NIC goes down before the
-// start commands and stays down past the migration watchdog, so the cell
+// start commands and stays down past the switchover deadline, so the cell
 // deterministically reports an aborted, reasoned row instead of wedging
 // the fleet.
 func runDrainRack(opt DrainOptions) FleetReport {
@@ -272,7 +272,7 @@ func runDrainRack(opt DrainOptions) FleetReport {
 	cfg.MigrationTimeoutSeconds = 20
 	if cfg.Cells > 1 {
 		// Fault only cell 1: link down one second before the start
-		// commands, up long after the watchdog fires.
+		// commands, up long after the deadline aborts the migration.
 		cfg.Faults = (&sim.FaultPlan{}).LinkFlap("source", cfg.WarmupSeconds-1, cfg.MigrationTimeoutSeconds+60)
 		cfg.FaultCells = []int{1}
 	}

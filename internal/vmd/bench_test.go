@@ -1,6 +1,7 @@
 package vmd
 
 import (
+	"fmt"
 	"testing"
 
 	"agilemig/internal/sim"
@@ -66,27 +67,44 @@ func BenchmarkVMDDemandRead(b *testing.B) {
 	}
 }
 
-// BenchmarkVMDWrite measures the remote write path: one page written to a
-// fresh offset and acked, on the same 4-server pool, then freed so the
-// next round trip writes a fresh offset again. Allocations are reported so
-// a per-page allocation on the wire path shows up here.
+// BenchmarkVMDWrite measures the remote write path on the same 4-server
+// pool: per op, one page (page) or one 32-page WriteBatch run (run32) is
+// written to fresh offsets and acked, then freed so the next op writes
+// fresh offsets again. Allocations are reported so a per-page allocation
+// on the wire path shows up here.
 func BenchmarkVMDWrite(b *testing.B) {
 	const pages = 1 << 14
-	eng, c, ns := benchDemandRig(StoreConfig{}, pages)
-	acked := 0
-	fn := func() { acked++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := uint32(i % pages)
-		ns.Free(off)
-		ns.Write(c, off, fn)
-		eng.RunSeconds(0.005)
+	for _, run := range []int{1, 32} {
+		name := "page"
+		if run > 1 {
+			name = fmt.Sprintf("run%d", run)
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, c, ns := benchDemandRig(StoreConfig{}, pages)
+			offs := make([]uint32, run)
+			acked := 0
+			fn := func() { acked++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				first := uint32(i * run % pages)
+				for j := range offs {
+					offs[j] = first + uint32(j)
+					ns.Free(offs[j])
+				}
+				if run == 1 {
+					ns.Write(c, first, fn)
+				} else {
+					ns.WriteBatch(c, offs, fn)
+				}
+				eng.RunSeconds(0.005)
+			}
+			eng.RunSeconds(1)
+			b.StopTimer()
+			if acked != b.N {
+				b.Fatalf("%d/%d writes acked", acked, b.N)
+			}
+			b.ReportMetric(float64(b.N*run)/b.Elapsed().Seconds(), "pages/s")
+		})
 	}
-	eng.RunSeconds(1)
-	b.StopTimer()
-	if acked != b.N {
-		b.Fatalf("%d/%d writes acked", acked, b.N)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "writes/s")
 }

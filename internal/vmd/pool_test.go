@@ -20,8 +20,7 @@ func checkPools(t *testing.T, v *VMD) {
 	}
 	unique("writeOp", len(v.writeFree), func(i int) any { return v.writeFree[i] })
 	unique("copySend", len(v.copyFree), func(i int) any { return v.copyFree[i] })
-	unique("readOp", len(v.readFree), func(i int) any { return v.readFree[i] })
-	unique("runRead", len(v.runFree), func(i int) any { return v.runFree[i] })
+	unique("runRead", len(v.readFree), func(i int) any { return v.readFree[i] })
 	unique("overwriteSend", len(v.overFree), func(i int) any { return v.overFree[i] })
 	for _, op := range v.writeFree {
 		if op.ns != nil || op.fn != nil || op.pending != 0 {
@@ -35,7 +34,7 @@ func checkPools(t *testing.T, v *VMD) {
 	}
 	for _, r := range v.readFree {
 		if r.refs != 0 || r.ns != nil || r.settled {
-			t.Fatalf("recycled readOp not cleared: refs %d, settled %v", r.refs, r.settled)
+			t.Fatalf("recycled runRead not cleared: refs %d, settled %v", r.refs, r.settled)
 		}
 	}
 }
@@ -62,24 +61,36 @@ func (r *rig) stepUntil(t *testing.T, limit int, cond func() bool) {
 }
 
 func TestRemoteWriteRoundTripAllocatesNothing(t *testing.T) {
-	for _, ft := range []float64{0, 0.05} {
-		r := newFaultRig(t, 4, 1000, 64, 1, ft)
-		off := uint32(0)
-		round := func() {
-			r.ns.Write(r.client, off, nil)
-			r.eng.RunSeconds(0.005)
-			r.ns.Free(off)
-			off = (off + 1) % 64
+	for _, pages := range []int{1, 8} {
+		for _, ft := range []float64{0, 0.05} {
+			r := newFaultRig(t, 4, 1000, 64, 1, ft)
+			offs := make([]uint32, pages)
+			first := uint32(0)
+			round := func() {
+				for i := range offs {
+					offs[i] = first + uint32(i)
+				}
+				if pages == 1 {
+					r.ns.Write(r.client, first, nil)
+				} else {
+					r.ns.WriteBatch(r.client, offs, nil)
+				}
+				r.eng.RunSeconds(0.005)
+				for _, off := range offs {
+					r.ns.Free(off)
+				}
+				first = (first + uint32(pages)) % 64
+			}
+			// Warm up past the fault-tolerance timeout so the free lists hold
+			// every record the steady state keeps in flight.
+			for i := 0; i < 100; i++ {
+				round()
+			}
+			if n := testing.AllocsPerRun(100, round); n != 0 {
+				t.Errorf("%d pages, fault timeout %v: %v allocs per remote write round trip, want 0", pages, ft, n)
+			}
+			checkPools(t, r.v)
 		}
-		// Warm up past the fault-tolerance timeout so the free lists hold
-		// every record the steady state keeps in flight.
-		for i := 0; i < 100; i++ {
-			round()
-		}
-		if n := testing.AllocsPerRun(100, round); n != 0 {
-			t.Errorf("fault timeout %v: %v allocs per remote write round trip, want 0", ft, n)
-		}
-		checkPools(t, r.v)
 	}
 }
 
@@ -144,6 +155,47 @@ func TestLateAckAfterTimeoutKeepsAccountingExact(t *testing.T) {
 	// exactly once each.
 	if len(r.v.copyFree) != 2 || len(r.v.writeFree) != 1 {
 		t.Fatalf("free lists hold %d copies and %d ops, want 2 and 1", len(r.v.copyFree), len(r.v.writeFree))
+	}
+	checkPools(t, r.v)
+}
+
+func TestRunTimeoutRevertsWholeRun(t *testing.T) {
+	r := newFaultRig(t, 2, 1000, 16, 1, 0.05)
+	offs := []uint32{4, 5, 6, 7, 8, 9, 10, 11}
+	done := 0
+	r.ns.WriteBatch(r.client, offs, func() { done++ })
+	// The run is on the wire; a loss window on the client drops the ack
+	// its store sends back.
+	r.client.nic.SetLossRate(1, 3)
+	r.stepUntil(t, 100, func() bool { return r.usedPages() == 8 })
+	r.client.nic.SetLossRate(0, 3)
+	first := r.servers[0]
+	if first.Used() == 0 {
+		first = r.servers[1]
+	}
+	if first.Used() != 8 {
+		t.Fatalf("run split across servers before the timeout: %d/8 on one", first.Used())
+	}
+	r.eng.RunSeconds(1) // the timeout reverts the run and redirects it
+	if done != 1 {
+		t.Fatalf("write completed %d times, want 1", done)
+	}
+	if first.Used() != 0 || r.usedPages() != 8 || r.ns.Stored() != 8 {
+		t.Fatalf("%d pages on the timed-out server, %d in all, stored %d; want 0, 8, 8",
+			first.Used(), r.usedPages(), r.ns.Stored())
+	}
+	for _, off := range offs {
+		if c := r.ns.CopiesOf(off); c != 1 {
+			t.Fatalf("offset %d has %d copies, want 1", off, c)
+		}
+	}
+	if w, _, retried := r.client.Stats(); w != 8 || retried != 1 {
+		t.Fatalf("%d pages written, %d retries; want 8, 1", w, retried)
+	}
+	// The dropped ack was never counted, so the abandoned copy recycled at
+	// its timeout and carried the redirect; it and the op are back once.
+	if len(r.v.copyFree) != 1 || len(r.v.writeFree) != 1 {
+		t.Fatalf("free lists hold %d copies and %d ops, want 1 and 1", len(r.v.copyFree), len(r.v.writeFree))
 	}
 	checkPools(t, r.v)
 }

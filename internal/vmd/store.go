@@ -323,7 +323,7 @@ func (ns *Namespace) ctierStore(st *ctierState, off uint32, fn func()) {
 	for st.used >= v.ctierCap {
 		if !st.evictOne() {
 			// Everything left is already in writeback; overflow to remote.
-			ns.writeRemote(st.c, off, false, fn)
+			ns.writeRemote(st.c, off, 1, false, fn)
 			return
 		}
 	}
@@ -360,7 +360,7 @@ func (st *ctierState) evictOne() bool {
 		// Decompress, then push through the v1 write machinery (which
 		// bypasses this tier). ns.stored already counts the page.
 		v.eng.AfterSeconds(ctierCompressSeconds, func() {
-			ns.writeRemote(st.c, victim, true, func() {
+			ns.writeRemote(st.c, victim, 1, true, func() {
 				st.finishWriteback(victim)
 			})
 		})

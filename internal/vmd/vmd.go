@@ -101,8 +101,7 @@ type VMD struct {
 	// Free lists of the pooled per-page wire records (see refs).
 	writeFree freeList[writeOp]
 	copyFree  freeList[copySend]
-	readFree  freeList[readOp]
-	runFree   freeList[runRead]
+	readFree  freeList[runRead]
 	overFree  freeList[overwriteSend]
 }
 
@@ -738,20 +737,20 @@ func (ns *Namespace) holdsCopy(off uint32, srv int16) bool {
 	return false
 }
 
-// removeCopy drops the offset's replica on the server, reporting whether
-// one was present. It does not touch server accounting.
-func (ns *Namespace) removeCopy(off uint32, srv int16) bool {
+// removeCopy drops the offset's replica on the server, returning it and
+// whether one was present. It does not touch server accounting.
+func (ns *Namespace) removeCopy(off uint32, srv int16) (replCopy, bool) {
 	if ns.replicas == nil {
-		return false
+		return replCopy{}, false
 	}
 	cps := ns.replicas[off]
 	for i, cp := range cps {
 		if cp.srv == srv {
 			ns.replicas[off] = append(cps[:i], cps[i+1:]...)
-			return true
+			return cp, true
 		}
 	}
-	return false
+	return replCopy{}, false
 }
 
 // releaseCopy returns a replica's storage to its server's correct tier.
@@ -797,7 +796,7 @@ func (ns *Namespace) serverLost(s *Server) {
 				ns.lost.Set(mem.PageID(off))
 				lostN++
 			}
-		} else if ns.removeCopy(o, idx) {
+		} else if _, ok := ns.removeCopy(o, idx); ok {
 			if ns.placement[off] != noServer {
 				ns.vmd.queueRepair(ns, o)
 			}
@@ -841,7 +840,7 @@ func (v *VMD) pumpRepairs() {
 		it := v.repairQ[0]
 		v.repairQ = v.repairQ[1:]
 		run := []repairItem{it}
-		for v.store.BatchPages > 1 && len(v.repairQ) > 0 && len(run) < v.store.BatchPages {
+		for len(v.repairQ) > 0 && len(run) < v.store.BatchPages {
 			nxt := v.repairQ[0]
 			last := run[len(run)-1]
 			if nxt.ns != it.ns || nxt.off != last.off+1 ||
@@ -852,22 +851,17 @@ func (v *VMD) pumpRepairs() {
 			run = append(run, nxt)
 			v.repairQ = v.repairQ[1:]
 		}
-		if len(run) == 1 {
-			if v.startRepair(it) {
-				v.repairBusy++
-			}
-			continue
-		}
 		if v.startRepairRun(run) {
 			v.repairBusy++
 		}
 	}
 }
 
-// startRepairRun begins one coalesced re-replication transfer of a run of
-// contiguous offsets sharing a source server, reporting whether any page
-// in the run still needed repair and a target existed. The run travels as
-// one message; each page lands (and re-validates) individually.
+// startRepairRun begins one re-replication transfer of a run of one or
+// more contiguous offsets sharing a source server, reporting whether any
+// page in the run still needed repair and a target existed (a later
+// Restart re-queues when none did). The run travels as one message; each
+// page lands (and re-validates) individually.
 func (v *VMD) startRepairRun(run []repairItem) bool {
 	ns := run[0].ns
 	valid := run[:0]
@@ -940,65 +934,6 @@ func (v *VMD) startRepairRun(run []repairItem) bool {
 	return true
 }
 
-// startRepair begins one re-replication transfer, reporting whether it was
-// still needed and a target existed.
-func (v *VMD) startRepair(it repairItem) bool {
-	ns := it.ns
-	off := it.off
-	if ns.destroyed || ns.placement[off] == noServer {
-		return false
-	}
-	if 1+len(ns.copiesAt(off)) >= ns.k {
-		return false
-	}
-	src := v.servers[ns.placement[off]]
-	if src.down {
-		return false
-	}
-	n := len(v.servers)
-	var dst *Server
-	for i := 0; i < n; i++ {
-		cand := v.servers[(v.repairRR+i)%n]
-		if cand.down || cand == src || cand.freePages() <= 0 || ns.holdsCopy(off, cand.idx) {
-			continue
-		}
-		dst = cand
-		v.repairRR = int(cand.idx) + 1
-		break
-	}
-	if dst == nil {
-		// No eligible target right now; a later Restart re-queues.
-		return false
-	}
-	src.pagesServed++
-	send := func() {
-		v.interFlow(src, dst).SendMessage(PageMsgBytes, func() {
-			v.finishRepair(ns, off, src, dst)
-		})
-	}
-	if ns.onDisk.Test(mem.PageID(off)) {
-		src.diskServes++
-		src.disk.Read(mem.PageSize, send)
-	} else {
-		send()
-	}
-	return true
-}
-
-// finishRepair lands a re-replication transfer at its target.
-func (v *VMD) finishRepair(ns *Namespace, off uint32, src, dst *Server) {
-	next := func() {
-		v.repairBusy--
-		v.pumpRepairs()
-	}
-	landed, onDisk := v.landRepair(ns, off, src, dst)
-	if landed && onDisk {
-		dst.disk.Write(mem.PageSize, next)
-	} else {
-		next()
-	}
-}
-
 // landRepair re-validates and lands one re-replicated page at its target,
 // reporting whether a copy was added and on which tier. Disk-tier landings
 // are accounted immediately; the caller schedules the device write.
@@ -1025,9 +960,10 @@ func (v *VMD) landRepair(ns *Namespace, off uint32, src, dst *Server) (landed, o
 	return true, onDisk
 }
 
-// Every per-page request on the wire is a pooled record (writeOp,
-// copySend, readOp, runRead, overwriteSend) whose callbacks are method
-// values bound once, so the steady-state page path allocates nothing.
+// Every request on the wire is a pooled record (writeOp, copySend,
+// runRead, overwriteSend) whose callbacks are method values bound once,
+// so the steady-state page path allocates nothing. A write or read of one
+// page is a run of one: the same record carries a page or a run of n.
 // refs counts a pooled record's queued callbacks: each callback ends by
 // releasing its count, and the one that reaches zero recycles the record.
 // A callback the network drops (a loss window, a closed flow) is never
@@ -1070,28 +1006,31 @@ func (l *freeList[T]) push(r *T) { *l = append(*l, r) }
 // sendState tracks one in-flight request so a timeout and a late response
 // cannot both act on it.
 type sendState struct {
-	settled    bool
-	storedSrv  *Server // set once the server stored the page (awaiting ack)
-	storedDisk bool
+	settled   bool
+	storedSrv *Server // set once the server stored the pages (awaiting ack)
 	// What the store cleared from an `already` (spilled/lost) offset, kept
 	// so a timeout can put it back when it reverts the placement.
 	wasLost  bool
 	wasSpill *Client
 }
 
-// writeOp is one logical page write: the primary copy plus K-1 replicas,
-// sharing a NACK/timeout exclusion set so a redirect never returns to a
-// server this op already knows is full, down or holding a copy. It is a
+// writeOp is one logical write of n >= 1 contiguous pages from first: the
+// primary copy plus K-1 replicas, sharing a NACK/timeout exclusion set so
+// a redirect never returns to a server this op already knows is full,
+// down or holding a copy. A one-page write sends its K copies at once; a
+// run sends its replicas one by one after its primary lands. It is a
 // pooled record, recycled when its last copy settles.
 type writeOp struct {
 	ns       *Namespace
 	c        *Client
-	off      uint32
+	first    uint32
+	n        int
 	fn       func()
 	attempts int    // primary redirect budget (NACKs + timeouts)
 	nacked   uint64 // servers that NACKed or timed out this op
-	placed   uint64 // servers holding a copy of this op's page
-	pending  int    // copies not yet settled
+	placed   uint64 // servers holding a copy of this op's pages
+	pending  int    // copies sent, not yet settled
+	replLeft int    // a run's replicas not yet sent
 	already  bool   // offset was spilled/lost: ns.stored already counts it
 	counted  bool   // this op incremented ns.stored
 
@@ -1126,7 +1065,7 @@ func (ns *Namespace) Write(c *Client, off uint32, fn func()) {
 			return
 		}
 	}
-	ns.writeRemote(c, off, false, fn)
+	ns.writeRemote(c, off, 1, false, fn)
 }
 
 // hasDegraded reports whether the offset is in one of the degraded states
@@ -1139,43 +1078,52 @@ func (ns *Namespace) hasDegraded(off uint32) bool {
 	return ns.lost != nil && ns.lost.Test(mem.PageID(off))
 }
 
-// writeRemote places a fresh offset on the remote pool through the v1
-// write machinery, bypassing the client-local compressed tier. Callers
-// that already count the offset in ns.stored (the compressed tier's
-// writeback) pass alreadyStored.
-func (ns *Namespace) writeRemote(c *Client, off uint32, alreadyStored bool, fn func()) {
+// writeRemote places n fresh contiguous offsets from first on the remote
+// pool, bypassing the client-local compressed tier. Callers that already
+// count the offsets in ns.stored (the compressed tier's writeback, a run
+// split into pages after its primary landed once) pass alreadyStored.
+func (ns *Namespace) writeRemote(c *Client, first uint32, n int, alreadyStored bool, fn func()) {
 	v := ns.vmd
 	op := v.writeFree.pop()
 	if op == nil {
 		op = &writeOp{}
 		op.settleF = op.settle
 	}
-	op.ns, op.c, op.off, op.fn = ns, c, off, fn
+	op.ns, op.c, op.first, op.n, op.fn = ns, c, first, n, fn
 	op.attempts = 2*len(c.links) + 2
+	op.already = alreadyStored || ns.hasDegraded(first)
+	if n > 1 {
+		op.pending, op.replLeft = 1, ns.k-1
+		op.sendCopy(true)
+		return
+	}
 	op.pending = ns.k
-	op.already = alreadyStored || ns.hasDegraded(off)
 	op.sendCopy(true)
 	for j := 1; j < ns.k; j++ {
 		op.sendCopy(false)
 	}
 }
 
-// overwrite rewrites a stored page in place on every server holding it.
-func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
-	sIdx := ns.placement[off]
-	copies := ns.copiesAt(off)
-	if len(copies) == 0 {
-		ns.sendOverwrite(c, ns.vmd.servers[sIdx], off, ns.onDisk.Test(mem.PageID(off)), fn)
-		return
+// countdown returns a callback that runs fn on its n-th call; for n == 1
+// it is fn itself.
+func countdown(n int, fn func()) func() {
+	if n == 1 {
+		return fn
 	}
-	remaining := 1 + len(copies)
-	each := func() {
-		remaining--
-		if remaining == 0 && fn != nil {
+	left := n // declared past the early return: a run of one allocates nothing
+	return func() {
+		left--
+		if left == 0 && fn != nil {
 			fn()
 		}
 	}
-	ns.sendOverwrite(c, ns.vmd.servers[sIdx], off, ns.onDisk.Test(mem.PageID(off)), each)
+}
+
+// overwrite rewrites a stored page in place on every server holding it.
+func (ns *Namespace) overwrite(c *Client, off uint32, fn func()) {
+	copies := ns.copiesAt(off)
+	each := countdown(1+len(copies), fn)
+	ns.sendOverwrite(c, ns.vmd.servers[ns.placement[off]], off, ns.onDisk.Test(mem.PageID(off)), each)
 	for _, cp := range copies {
 		ns.sendOverwrite(c, ns.vmd.servers[cp.srv], off, cp.onDisk, each)
 	}
@@ -1275,40 +1223,42 @@ func (r *overwriteSend) timeout() {
 	ns.Write(c, off, fn)
 }
 
-// sendCopy places one copy of the op's page: the primary drives the
-// attempts budget and degrades to a spill when the pool is exhausted;
-// replicas are best-effort and settle silently when no distinct server
-// can take them.
+// sendCopy places one copy of the op's pages: the primary drives the
+// attempts budget and, when no server will take it, spills a page or
+// splits a run into one-page writes; replicas are best-effort and settle
+// silently when no distinct server can take them.
 func (op *writeOp) sendCopy(primary bool) {
-	if primary && op.attempts <= 0 {
+	var s *Server
+	if !primary || op.attempts > 0 {
+		s = op.c.placeServer(op.ns, op.first, op.nacked|op.placed)
+	}
+	switch {
+	case s == nil && !primary:
+		op.settle()
+	case s == nil && op.n > 1:
+		op.split()
+	case s == nil:
 		op.spillPrimary()
-		return
-	}
-	s := op.c.placeServer(op.ns, op.off, op.nacked|op.placed)
-	if s == nil {
-		if primary {
-			op.spillPrimary()
-		} else {
-			op.settle()
-		}
-		return
-	}
-	if !primary {
+	case !primary && (op.nacked|op.placed)&(uint64(1)<<uint(s.idx)) != 0:
 		// pickServer ignores the mask when it has a single candidate; a
 		// replica must land on a distinct, untried server or not at all.
-		bit := uint64(1) << uint(s.idx)
-		if (op.nacked|op.placed)&bit != 0 {
-			op.settle()
-			return
-		}
+		op.settle()
+	default:
+		op.send(s, primary)
 	}
-	op.send(s, primary)
 }
 
-// settle marks one copy finished; the write completes when all have. The
-// op recycles before fn runs, so fn may issue new writes that reuse it.
+// settle marks one copy finished. A run's next replica leaves now; the
+// write completes when every copy has settled. The op recycles before fn
+// runs, so fn may issue new writes that reuse it.
 func (op *writeOp) settle() {
 	op.pending--
+	if op.replLeft > 0 {
+		op.replLeft--
+		op.pending++
+		op.sendCopy(false)
+		return
+	}
 	if op.pending > 0 {
 		return
 	}
@@ -1326,15 +1276,17 @@ func (op *writeOp) settle() {
 // copySend is one copy of a writeOp on the wire to one server. Its
 // callbacks (arrival at the server, disk-tier store, ack, NACK, timeout)
 // are method values bound once when the record is first allocated. It
-// keeps its own VMD pointer: a timeout that fires after the ack settled
-// the copy must not reach through the op, which may be recycled by then.
+// keeps its own VMD pointer and page count: a timeout or disk write that
+// finishes after the ack settled the copy must not reach through the op,
+// which may be recycled by then.
 type copySend struct {
 	v       *VMD
 	op      *writeOp
 	s       *Server
 	link    *serverLink
+	n       int
 	primary bool
-	charged bool // consumed one unit of link.freeHint
+	charged int64 // units of link.freeHint consumed
 	sendState
 	refs
 
@@ -1350,19 +1302,19 @@ func (op *writeOp) send(s *Server, primary bool) {
 		r = &copySend{v: v}
 		r.arriveF, r.finishF, r.ackF, r.nackF, r.timeoutF = r.arrive, r.diskDone, r.ack, r.nack, r.timeout
 	}
-	r.op, r.s, r.primary = op, s, primary
+	r.op, r.s, r.n, r.primary = op, s, op.n, primary
 	r.link = op.c.links[s.idx]
-	if r.link.freeHint > 0 {
+	if hint := r.link.freeHint; hint > 0 {
 		// Optimistic local accounting: the next gossip refreshes the true
 		// value, but in-flight writes already consume the budget.
-		r.charged = true
-		r.link.freeHint--
+		r.charged = min(int64(op.n), hint)
+		r.link.freeHint -= r.charged
 	}
 	if v.ft {
 		r.refs++
 		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
 	}
-	r.hold(r.link.toServer.SendMessage(PageMsgBytes, r.arriveF))
+	r.hold(r.link.toServer.SendMessage(BatchMsgBytes(op.n), r.arriveF))
 }
 
 // release ends one queued callback, recycling the record after the last.
@@ -1373,7 +1325,7 @@ func (r *copySend) release() {
 	}
 }
 
-// arrive runs when the page reaches the server.
+// arrive runs when the pages reach the server.
 func (r *copySend) arrive() {
 	if !r.settled && !r.s.down {
 		r.store()
@@ -1381,26 +1333,63 @@ func (r *copySend) arrive() {
 	r.release()
 }
 
-// store lands the copy on the server, or NACKs it when the server is full.
+// store lands the copy on the server, memory first and the rest on its
+// disk tier, or NACKs it when the server cannot take every page.
 func (r *copySend) store() {
-	op, s, link, primary := r.op, r.s, r.link, r.primary
-	ns, off := op.ns, op.off
-	if s.freePages() <= 0 {
+	op, s, link := r.op, r.s, r.link
+	ns := op.ns
+	if s.freePages() < int64(r.n) {
 		// NACK: server is actually full. The client retries on the
 		// next server in rotation.
 		s.rejects++
 		link.freeHint = 0
 		if ns.em.Enabled() {
-			ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying offset %d", s.name, op.c.name, off)
+			if r.n == 1 {
+				ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying offset %d", s.name, op.c.name, op.first)
+			} else {
+				ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDNack, "%s full, %s retrying %d-page batch at offset %d", s.name, op.c.name, r.n, op.first)
+			}
 		}
 		r.hold(link.fromServer.SendMessage(AckBytes, r.nackF))
 		return
 	}
 	op.placed |= uint64(1) << uint(s.idx)
-	if primary {
+	r.storedSrv = s
+	memRoom := s.capacity - s.used
+	diskN := 0
+	for i := 0; i < r.n; i++ {
+		onDisk := int64(i) >= memRoom
+		if onDisk {
+			// Memory full: the page goes to the server's disk tier.
+			s.diskUsed++
+			s.diskStores++
+			diskN++
+		} else {
+			s.used++
+		}
+		r.land(op.first+uint32(i), onDisk)
+	}
+	if r.primary && !op.already && !op.counted {
+		ns.stored += int64(r.n)
+		op.counted = true
+	}
+	if diskN == 0 {
+		r.sendAck()
+		return
+	}
+	// The ack departs after the local write completes.
+	r.refs++
+	s.disk.Write(mem.PagesToBytes(diskN), r.finishF)
+}
+
+// land records one stored page in the namespace's tables.
+func (r *copySend) land(off uint32, onDisk bool) {
+	ns, s := r.op.ns, r.s
+	switch {
+	case r.primary:
 		ns.placement[off] = s.idx
 		ns.touch(off)
-		if op.already {
+		if r.op.already {
 			if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
 				ns.lost.Clear(mem.PageID(off))
 				ns.lostPages--
@@ -1410,42 +1399,21 @@ func (r *copySend) store() {
 				r.wasSpill = ns.spilled[off]
 				delete(ns.spilled, off)
 			}
-		} else if !op.counted {
-			ns.stored++
-			op.counted = true
 		}
-	}
-	// A replica that was on the wire when the primary's server crashed
-	// arrives after the page was written off as lost: its store
-	// resurrects the page, with this server as the new primary.
-	promote := !primary && ns.lost != nil && ns.placement[off] == noServer &&
-		ns.lost.Test(mem.PageID(off))
-	if promote {
+	case ns.lost != nil && ns.placement[off] == noServer && ns.lost.Test(mem.PageID(off)):
+		// A replica that was on the wire when the primary's server crashed
+		// arrives after the page was written off as lost: its store
+		// resurrects the page, with this server as the new primary.
 		ns.lost.Clear(mem.PageID(off))
 		ns.lostPages--
 		ns.placement[off] = s.idx
-	}
-	if s.used < s.capacity {
-		s.used++
-		r.storedSrv = s
-		if !primary && !promote {
-			ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx})
-		}
-		r.sendAck()
+	default:
+		ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx, onDisk: onDisk})
 		return
 	}
-	// Memory full: spill to the server's disk tier. The ack departs
-	// after the local write completes.
-	s.diskUsed++
-	s.diskStores++
-	r.storedSrv, r.storedDisk = s, true
-	if primary || promote {
+	if onDisk {
 		ns.onDisk.Set(mem.PageID(off))
-	} else {
-		ns.replicas[off] = append(ns.replicas[off], replCopy{srv: s.idx, onDisk: true})
 	}
-	r.refs++
-	s.disk.Write(mem.PageSize, r.finishF)
 }
 
 func (r *copySend) diskDone() {
@@ -1454,7 +1422,7 @@ func (r *copySend) diskDone() {
 }
 
 func (r *copySend) sendAck() {
-	r.s.pagesStored++
+	r.s.pagesStored += int64(r.n)
 	r.hold(r.link.fromServer.SendMessage(AckBytes, r.ackF))
 }
 
@@ -1465,7 +1433,7 @@ func (r *copySend) ack() {
 	}
 	r.settled = true
 	op := r.op
-	op.c.pagesWritten++
+	op.c.pagesWritten += int64(r.n)
 	r.release()
 	op.settle()
 }
@@ -1488,7 +1456,7 @@ func (r *copySend) nack() {
 
 // timeout abandons an unanswered copy and redirects it. If the store had
 // landed but the ack was lost or stalled, the server-side lease expires
-// and the slot is reclaimed so accounting stays exact.
+// and every landed page is reverted so accounting stays exact.
 func (r *copySend) timeout() {
 	if r.settled {
 		r.release()
@@ -1496,50 +1464,15 @@ func (r *copySend) timeout() {
 	}
 	r.settled = true
 	op, s, primary := r.op, r.s, r.primary
-	ns, off := op.ns, op.off
 	if r.storedSrv != nil {
-		if !r.storedSrv.down {
-			if r.storedDisk {
-				r.storedSrv.diskUsed--
-			} else {
-				r.storedSrv.used--
-			}
-		}
-		if primary {
-			if ns.placement[off] == s.idx {
-				ns.placement[off] = noServer
-				if r.storedDisk {
-					ns.onDisk.Clear(mem.PageID(off))
-				}
-				// The store consumed the offset's spilled/lost state; the
-				// redirect needs it back or a read in the gap finds nothing.
-				if r.wasLost && ns.lost != nil {
-					ns.lost.Set(mem.PageID(off))
-					ns.lostPages++
-				}
-				if r.wasSpill != nil {
-					ns.spilled[off] = r.wasSpill
-				}
-			}
-		} else if ns.placement[off] == s.idx {
-			// This replica store resurrected a lost page and became its
-			// primary; abandoning it puts the page back on the lost gauge.
-			ns.placement[off] = noServer
-			if r.storedDisk {
-				ns.onDisk.Clear(mem.PageID(off))
-			}
-			if ns.lost != nil {
-				ns.lost.Set(mem.PageID(off))
-				ns.lostPages++
-			}
-		} else {
-			ns.removeCopy(off, s.idx)
+		for i := 0; i < r.n; i++ {
+			r.revert(op.first + uint32(i))
 		}
 		op.placed &^= uint64(1) << uint(s.idx)
-	} else if r.charged {
+	} else {
 		// The write never landed: hand its optimistic hint charge back so
 		// the server is not under-counted until the next gossip.
-		r.link.freeHint++
+		r.link.freeHint += r.charged
 	}
 	op.nacked |= uint64(1) << uint(s.idx)
 	op.c.retries++
@@ -1550,21 +1483,63 @@ func (r *copySend) timeout() {
 	op.sendCopy(primary)
 }
 
-// spillPrimary degrades a write the pool cannot take onto the writing
-// client's local swap disk.
+// revert takes one landed page of an abandoned copy back off its server,
+// wherever the namespace tables still show it there.
+func (r *copySend) revert(off uint32) {
+	ns, s := r.op.ns, r.s
+	if ns.placement[off] != s.idx {
+		if cp, ok := ns.removeCopy(off, s.idx); ok {
+			ns.releaseCopy(cp)
+		}
+		return
+	}
+	ns.releaseSlot(off, s)
+	ns.placement[off] = noServer
+	if r.primary {
+		// The store consumed the offset's spilled/lost state; the
+		// redirect needs it back or a read in the gap finds nothing.
+		if r.wasLost {
+			ns.lost.Set(mem.PageID(off))
+			ns.lostPages++
+		}
+		if r.wasSpill != nil {
+			ns.spilled[off] = r.wasSpill
+		}
+		return
+	}
+	// This replica store resurrected a lost page and became its primary;
+	// abandoning it puts the page back on the lost gauge.
+	if ns.lost != nil {
+		ns.lost.Set(mem.PageID(off))
+		ns.lostPages++
+	}
+}
+
+// split re-dispatches a run whose primary no server will take as one-page
+// writes, which spill if the pool really is full. Its replicas were never
+// sent; each page write places its own K copies.
+func (op *writeOp) split() {
+	op.replLeft = 0
+	op.pending += op.n - 1
+	for i := 0; i < op.n; i++ {
+		op.ns.writeRemote(op.c, op.first+uint32(i), 1, op.counted, op.settleF)
+	}
+}
+
+// spillPrimary degrades a page write the pool cannot take onto the
+// writing client's local swap disk.
 func (op *writeOp) spillPrimary() {
-	ns := op.ns
-	c := op.c
+	ns, c, off := op.ns, op.c, op.first
 	if c.spillDev == nil {
-		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d and no spill device attached to %s", ns.name, op.off, c.name))
+		panic(fmt.Sprintf("vmd: pool exhausted writing %s offset %d and no spill device attached to %s", ns.name, off, c.name))
 	}
 	if ns.spilled == nil {
 		ns.spilled = make(map[uint32]*Client)
 	}
-	ns.spilled[op.off] = c
+	ns.spilled[off] = c
 	if op.already {
-		if ns.lost != nil && ns.lost.Test(mem.PageID(op.off)) {
-			ns.lost.Clear(mem.PageID(op.off))
+		if ns.lost != nil && ns.lost.Test(mem.PageID(off)) {
+			ns.lost.Clear(mem.PageID(off))
 			ns.lostPages--
 		}
 	} else if !op.counted {
@@ -1572,7 +1547,7 @@ func (op *writeOp) spillPrimary() {
 		op.counted = true
 	}
 	ns.spilledPages++
-	ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDSpill, "offset %d spilled to %s local disk (pool exhausted)", op.off, c.name)
+	ns.em.Emitf(ns.vmd.eng.NowSeconds(), trace.VMDSpill, "offset %d spilled to %s local disk (pool exhausted)", off, c.name)
 	c.spillIO().Write(mem.PageSize, op.settleF)
 }
 
@@ -1704,28 +1679,11 @@ func (ns *Namespace) serveStaged(pf *prefetcher, c *Client, off uint32, fn func(
 	})
 }
 
-// readOp is one single-page read on the wire: a pooled record whose
-// callbacks (request arrival, disk-tier read, page delivery, timeout) are
-// method values bound once, like copySend's.
-type readOp struct {
-	v       *VMD
-	ns      *Namespace
-	c       *Client
-	s       *Server
-	link    *serverLink
-	off     uint32
-	fn      func()
-	settled bool
-	refs
-
-	arriveF, diskF, pageF, timeoutF func()
-}
-
-// readCopy resolves the offset's current primary and issues the read, with
-// timeout-driven failover onto the next copy when fault tolerance is armed
-// (each retry re-resolves, so a crash promotion mid-flight is picked up).
+// readCopy resolves the offset's current primary and issues the read as
+// a run of one, with timeout-driven failover onto the next copy when fault
+// tolerance is armed (each retry re-resolves, so a crash promotion
+// mid-flight is picked up).
 func (ns *Namespace) readCopy(c *Client, off uint32, fn func()) {
-	v := ns.vmd
 	sIdx := ns.placement[off]
 	if sIdx == noServer {
 		if holder := ns.spillHolder(off); holder != nil {
@@ -1738,86 +1696,7 @@ func (ns *Namespace) readCopy(c *Client, off uint32, fn func()) {
 		}
 		panic(fmt.Sprintf("vmd: read of unwritten offset %d in %s", off, ns.name))
 	}
-	ns.touch(off)
-	s := v.servers[sIdx]
-	if ns.em.Enabled() {
-		ns.em.Emitf(v.eng.NowSeconds(), trace.VMDRead, "offset %d from %s via %s", off, s.name, c.name)
-	}
-	r := v.readFree.pop()
-	if r == nil {
-		r = &readOp{v: v}
-		r.arriveF, r.diskF, r.pageF, r.timeoutF = r.arrive, r.diskDone, r.page, r.timeout
-	}
-	r.ns, r.c, r.s, r.link, r.off, r.fn = ns, c, s, c.links[s.idx], off, fn
-	if v.ft {
-		r.refs++
-		v.eng.AfterSeconds(v.ftTimeout, r.timeoutF)
-	}
-	r.hold(r.link.toServer.SendMessage(RequestBytes, r.arriveF))
-}
-
-// release ends one queued callback, recycling the record after the last.
-func (r *readOp) release() {
-	if r.drop() {
-		*r = readOp{v: r.v, arriveF: r.arriveF, diskF: r.diskF, pageF: r.pageF, timeoutF: r.timeoutF}
-		r.v.readFree.push(r)
-	}
-}
-
-// arrive runs when the request reaches the server.
-func (r *readOp) arrive() {
-	if !r.settled && !r.s.down {
-		if r.ns.onDisk.Test(mem.PageID(r.off)) {
-			// Spilled page: the server reads its local disk first.
-			r.s.diskServes++
-			r.refs++
-			r.s.disk.Read(mem.PageSize, r.diskF)
-		} else {
-			r.respond()
-		}
-	}
-	r.release()
-}
-
-func (r *readOp) diskDone() {
-	r.ns.maybePromote(r.s, r.off)
-	r.respond()
-	r.release()
-}
-
-func (r *readOp) respond() {
-	r.s.pagesServed++
-	r.hold(r.link.fromServer.SendMessage(PageMsgBytes, r.pageF))
-}
-
-// page runs when the page body reaches the client.
-func (r *readOp) page() {
-	if r.settled {
-		r.release()
-		return
-	}
-	r.settled = true
-	r.c.countRead(originRemote)
-	fn := r.fn
-	r.release()
-	if fn != nil {
-		fn()
-	}
-}
-
-func (r *readOp) timeout() {
-	if r.settled {
-		r.release()
-		return
-	}
-	r.settled = true
-	ns, c, off, fn := r.ns, r.c, r.off, r.fn
-	ns.failoverReads++
-	if ns.em.Enabled() {
-		ns.em.Emitf(r.v.eng.NowSeconds(), trace.VMDFailover, "read of offset %d from %s timed out, retrying", off, r.s.name)
-	}
-	r.release()
-	ns.readCopy(c, off, fn)
+	ns.readRun(c, ns.vmd.servers[sIdx], off, 1, fn)
 }
 
 // spillHolder returns the client holding the offset's spilled copy, or nil.
